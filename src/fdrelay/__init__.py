@@ -6,91 +6,56 @@ closed-form outage expressions with an independent Monte Carlo simulator so
 each can validate the other, and ships a CLI for parameter sweeps.
 """
 
-from .errors import (
-    AlphaMismatchError,
-    ConvergenceError,
-    DomainError,
-    ScenarioError,
-)
+from .errors import ConvergenceError, DomainError, ScenarioError
 from .fading import (
     AlphaMuParams,
-    PowerLambda,
     ProductDistParams,
     cdf_envelope,
     cdf_power,
     cdf_product,
-    cdf_product_mixed_alpha,
     pdf_envelope,
     pdf_power,
     pdf_product,
     power_rate,
     sample_envelope,
 )
-from .mcsim import McEstimate, simulate_outage, simulate_sweep, wilson_interval
+from .mcsim import McEstimate, simulate_outage
 from .outage import OutageResult, outage_af, outage_df, outage_high_snr
 from .presets import PRESET_NAMES, preset_config
-from .quadrature import QuadratureSettings, integrate_adaptive, integrate_to_infinity
-from .relaysys import (
-    ChannelDraw,
-    DerivedConstants,
-    SystemConfig,
-    capacity,
-    derive_constants,
-    harvested_energy,
-    relay_gain,
-    relay_power,
-    snr_af_dest,
-    snr_df_dest,
-    snr_df_relay,
-)
-from .specfun import Accuracy, bessel_k, ln_gamma, meijer_g_2131, reg_lower_gamma
+from .quadrature import QuadratureSettings
+from .relaysys import DerivedConstants, SystemConfig, derive_constants
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Accuracy",
-    "AlphaMismatchError",
-    "AlphaMuParams",
-    "ChannelDraw",
-    "ConvergenceError",
-    "DerivedConstants",
-    "DomainError",
+    # engines
     "McEstimate",
     "OutageResult",
-    "PowerLambda",
-    "PRESET_NAMES",
-    "ProductDistParams",
     "QuadratureSettings",
-    "ScenarioError",
-    "SystemConfig",
-    "bessel_k",
-    "capacity",
-    "cdf_envelope",
-    "cdf_power",
-    "cdf_product",
-    "cdf_product_mixed_alpha",
-    "derive_constants",
-    "harvested_energy",
-    "integrate_adaptive",
-    "integrate_to_infinity",
-    "ln_gamma",
-    "meijer_g_2131",
     "outage_af",
     "outage_df",
     "outage_high_snr",
+    "simulate_outage",
+    # distributions
+    "AlphaMuParams",
+    "ProductDistParams",
+    "cdf_envelope",
+    "cdf_power",
+    "cdf_product",
     "pdf_envelope",
     "pdf_power",
     "pdf_product",
     "power_rate",
-    "preset_config",
-    "reg_lower_gamma",
-    "relay_gain",
-    "relay_power",
     "sample_envelope",
-    "simulate_outage",
-    "simulate_sweep",
-    "snr_af_dest",
-    "snr_df_dest",
-    "snr_df_relay",
-    "wilson_interval",
+    # config
+    "DerivedConstants",
+    "SystemConfig",
+    "derive_constants",
+    # presets
+    "PRESET_NAMES",
+    "preset_config",
+    # errors
+    "ConvergenceError",
+    "DomainError",
+    "ScenarioError",
 ]

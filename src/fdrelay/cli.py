@@ -53,10 +53,11 @@ class Sweep:
             raise ScenarioError("sweep requires step > 0 and stop >= start")
         out = []
         v = self.start
-        # endpoints inclusive within half a step
+        # endpoints inclusive within half a step; start + i*step, so no
+        # rounding error accumulates along the grid
         while v <= self.stop + 0.5 * self.step:
             out.append(min(v, self.stop))
-            v += self.step
+            v = self.start + len(out) * self.step
         if not out:
             raise ScenarioError("empty sweep range")
         return out

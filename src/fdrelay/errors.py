@@ -5,14 +5,6 @@ class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class AlphaMismatchError(ValueError):
-    """The two hops of a product distribution carry different alpha exponents.
-
-    The Bessel/Meijer closed forms only exist for equal exponents; use the
-    generic quadrature helper for mixed-alpha products.
-    """
-
-
 class ConvergenceError(ArithmeticError):
     """A series or quadrature failed to reach the requested accuracy.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AlphaMismatchError, DomainError
+from .errors import DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .specfun import (
     EPS,
@@ -54,21 +54,6 @@ class AlphaMuParams:
             raise DomainError(f"r_hat must be positive, got {self.r_hat}")
 
 
-@dataclass(frozen=True)
-class PowerLambda:
-    """Rate constant of the squared-envelope distribution, units r^-alpha."""
-
-    value: float
-
-    def __post_init__(self):
-        if not self.value > 0.0:
-            raise DomainError("lambda must be positive")
-
-    @classmethod
-    def from_params(cls, p: AlphaMuParams) -> "PowerLambda":
-        return cls(p.mu / p.r_hat ** p.alpha)
-
-
 def power_rate(p: AlphaMuParams) -> float:
     """lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha."""
     return p.mu / p.r_hat ** p.alpha
@@ -83,7 +68,7 @@ class ProductDistParams:
 
     def __post_init__(self):
         if self.hop1.alpha != self.hop2.alpha:
-            raise AlphaMismatchError(
+            raise DomainError(
                 f"closed-form product requires equal alphas, got "
                 f"{self.hop1.alpha} and {self.hop2.alpha}")
 
@@ -268,33 +253,3 @@ def cdf_product(pp: ProductDistParams, z: float, route: str = "meijer") -> float
         value, _, _ = _cdf_product_quadrature(pp, z)
         return value
     raise ValueError(f"unknown route {route!r}")
-
-
-def cdf_product_mixed_alpha(hop1: AlphaMuParams, hop2: AlphaMuParams, z: float,
-                            settings: QuadratureSettings | None = None) -> float:
-    """Generic product CDF for branches with different alphas.
-
-    Plumbing only: conditions on the first power through its gamma
-    transform, P(X Y <= z) = E_w[F_Y(z / x(w))], and integrates in w.  No
-    closed form is claimed for the mixed case.
-    """
-    if z < 0.0:
-        raise DomainError("z must be nonnegative")
-    if z == 0.0:
-        return 0.0
-    l1 = power_rate(hop1)
-    inv_g = math.exp(-ln_gamma(hop1.mu))
-
-    def f(w):
-        x = (w / l1) ** (2.0 / hop1.alpha)
-        ln_d = (hop1.mu - 1.0) * math.log(w) - w
-        if ln_d < -745.0:
-            return 0.0
-        return cdf_power(hop2, z / x) * math.exp(ln_d) * inv_g
-
-    settings = settings or QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
-    # gamma-density mass sits around w ~ mu1
-    upper = hop1.mu + 40.0 + 10.0 * math.sqrt(hop1.mu)
-    bps = [b for b in (0.01, 0.1, hop1.mu, hop1.mu + 5.0 * math.sqrt(hop1.mu)) if 0 < b < upper]
-    val, _, _ = integrate_adaptive(f, 0.0, upper, settings, breakpoints=bps)
-    return min(1.0, max(0.0, val))

@@ -1,21 +1,25 @@
 """Monte Carlo outage estimator.
 
 The simulator draws channel triples through the exact gamma-power sampler,
-pushes them through the same SNR chain the analytic engines model, and
-counts threshold crossings.  It is the independent validation leg for every
-closed form in the package: nothing here touches the incomplete gamma,
-Bessel, or Meijer code paths.
+pushes them through the package's one SNR chain (``relaysys.gamma_eff``),
+and counts threshold crossings.  It is the independent validation leg for
+every closed form in the package: nothing here touches the incomplete
+gamma, Bessel, or Meijer code paths.
 
 Reproducibility contract: the stream for a run is a Philox (counter-based)
 generator keyed by the user seed plus a content hash of the configuration.
-Two consequences worth knowing:
+The estimate is a pure function of (seed, config, n).  Consequences:
 
 * the same configuration reuses the same channel triples for both relay
   modes (common random numbers, which sharpens mode comparisons); pass a
   different seed to decouple them;
-* sweep results depend only on (seed, config), never on grid position or
-  worker scheduling, so permuting a grid permutes the results and nothing
-  else.
+* results never depend on grid position or on other cells, so permuting a
+  grid of configurations permutes the results and nothing else.
+
+The estimate does depend on the chunk size ``_CHUNK``: the three branches
+are drawn in turn from one stream, chunk by chunk, so a different chunk
+size assigns different draws to each branch once n exceeds it.  Chunk
+invariance needs per-branch substreams and is not provided yet.
 """
 
 from __future__ import annotations
@@ -28,13 +32,10 @@ import numpy as np
 
 from .errors import DomainError
 from .fading import sample_envelope
-from .relaysys import SystemConfig, derive_constants
+from .relaysys import SystemConfig, derive_constants, gamma_eff
 
 _CHUNK = 1 << 21
 _Z975 = 1.959963984540054  # two-sided 95% normal quantile
-
-MODE_DF = "df"
-MODE_AF = "af"
 
 
 @dataclass(frozen=True)
@@ -86,16 +87,14 @@ def simulate_outage(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstima
     ``mode`` selects the SNR chain: "df" uses min of the relay and
     destination SNRs, "af" the end-to-end amplify-and-forward SNR.  Outage
     is the strict event gamma < nu.  Bit-reproducible for fixed
-    (cfg, n, seed) regardless of chunking or scheduling.
+    (cfg, n, seed), whatever else is simulated around it; see the module
+    docstring for the chunk-size caveat.
     """
-    if mode not in (MODE_DF, MODE_AF):
+    if mode not in ("df", "af"):
         raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")
     if n < 10_000:
         raise DomainError(f"need at least 1e4 samples, got {n}")
     c = derive_constants(cfg)
-    path = (cfg.hop1_distance ** cfg.hop1_pathloss
-            * cfg.hop2_distance ** cfg.hop2_pathloss)
-    dest_coef = c.kappa * cfg.source_power / (path * cfg.noise_dest_var)
     rng = _config_stream(cfg, seed)
     count = 0
     remaining = n
@@ -104,12 +103,7 @@ def simulate_outage(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstima
         h1 = sample_envelope(cfg.hop1_fading, rng, m)
         h2 = sample_envelope(cfg.hop2_fading, rng, m)
         h3 = sample_envelope(cfg.lbi_fading, rng, m)
-        z = np.square(h1 * h2)
-        v = np.square(h3)
-        if mode == MODE_DF:
-            gamma = np.minimum(1.0 / (c.kappa * v), dest_coef * z)
-        else:
-            gamma = c.beta1 * z / (c.beta2 * v * z + c.beta3 * v + c.beta4)
+        gamma = gamma_eff(mode, np.square(h1 * h2), np.square(h3), c)
         count += int(np.count_nonzero(gamma < c.nu))
         remaining -= m
     p_hat = count / n
@@ -117,16 +111,3 @@ def simulate_outage(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstima
     lo, hi = wilson_interval(p_hat, n)
     return McEstimate(p_hat=p_hat, n_samples=n, stderr=stderr,
                       ci_low=lo, ci_high=hi, seed=seed)
-
-
-def simulate_sweep(cfg_grid, mode: str, n: int, seed: int):
-    """Independent estimates over a configuration grid.
-
-    Each entry gets its own content-keyed substream, so the result list is
-    a pointwise function of the entries: permuting the grid permutes the
-    output, and parallel evaluation cannot change any value.
-    """
-    grid = list(cfg_grid)
-    if not grid:
-        raise DomainError("configuration grid must be nonempty")
-    return [simulate_outage(cfg, mode, n, seed) for cfg in grid]

@@ -65,9 +65,7 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
     c = derive_constants(cfg)
     v_star = 1.0 / (c.kappa * c.nu)
     f_v = cdf_power(cfg.lbi_fading, v_star)
-    path = (cfg.hop1_distance ** cfg.hop1_pathloss
-            * cfg.hop2_distance ** cfg.hop2_pathloss)
-    z_thresh = c.nu * path * cfg.noise_dest_var / (c.kappa * cfg.source_power)
+    z_thresh = c.nu * c.path * cfg.noise_dest_var / (c.kappa * cfg.source_power)
     f_z, f_z_err = _cdf_product_meijer(pp, z_thresh)
     value = 1.0 - f_v * (1.0 - f_z)
     err = f_v * f_z_err + 8.0 * EPS

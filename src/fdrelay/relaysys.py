@@ -8,17 +8,19 @@ transmits, a residual loop-back channel survives interference cancellation
 and caps the relay-side SNR.
 
 This module holds the immutable scenario description, the constants derived
-from it, and the per-realization SNR and capacity formulas for both relay
-strategies (decode-and-forward, amplify-and-forward).
+from it, and the effective SNR of both relay strategies (decode-and-forward,
+amplify-and-forward): the one SNR chain the Monte Carlo engine and the
+tests share.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
-from .fading import AlphaMuParams, power_rate
+from .fading import AlphaMuParams
 
 
 @dataclass(frozen=True)
@@ -71,30 +73,16 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class DerivedConstants:
-    """Scenario constants computed once: conversion factor, threshold, rates."""
+    """Scenario constants computed once: conversion factor, threshold, SNR terms."""
 
     kappa: float      # eh_efficiency * eta / (1 - eta)
     nu: float         # SNR threshold supporting the target rate
-    lambda1: float
-    lambda2: float
-    lambda3: float
+    path: float       # d1^m1 d2^m2, the two-hop path-loss product
+    dest_coef: float  # kappa * source power / (path * destination noise)
     beta1: float      # source power
     beta2: float      # kappa * source power
-    beta3: float      # d1^m1 d2^m2 * relay noise variance
+    beta3: float      # path * relay noise variance
     beta4: float      # beta3 / kappa
-
-
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One realization of the three envelope gains."""
-
-    h1: float
-    h2: float
-    h3: float
-
-    def __post_init__(self):
-        if not (self.h1 > 0.0 and self.h2 > 0.0 and self.h3 > 0.0):
-            raise DomainError("channel envelopes must be positive")
 
 
 def derive_constants(cfg: SystemConfig) -> DerivedConstants:
@@ -108,9 +96,8 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     return DerivedConstants(
         kappa=kappa,
         nu=nu,
-        lambda1=power_rate(cfg.hop1_fading),
-        lambda2=power_rate(cfg.hop2_fading),
-        lambda3=power_rate(cfg.lbi_fading),
+        path=path,
+        dest_coef=kappa * cfg.source_power / (path * cfg.noise_dest_var),
         beta1=cfg.source_power,
         beta2=kappa * cfg.source_power,
         beta3=beta3,
@@ -118,96 +105,17 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     )
 
 
-def harvested_energy(cfg: SystemConfig, h1: float) -> float:
-    """Energy collected during the harvesting slot for a first-hop gain h1.
+def gamma_eff(mode: str, z, v, c: DerivedConstants):
+    """Effective end-to-end SNR for Z = h1^2 h2^2 and V = h3^2, elementwise.
 
-    The noise contribution to the harvest is negligible against the signal
-    term and is dropped.
+    "df": min(1/(kappa V), kappa P_S Z / (path sigma_D^2)), the smaller of
+    the relay-side SNR (the source and loop-back terms both scale with the
+    source power, so only kappa and V remain) and the destination SNR.
+    "af": b1 Z / (b2 V Z + b3 V + b4), bounded above by 1/(kappa V): the
+    loop-back floor survives any source power.  Outage is gamma < nu.
     """
-    if not h1 > 0.0:
-        raise DomainError("h1 must be positive")
-    return (cfg.eh_efficiency * cfg.eh_time_fraction * cfg.block_time
-            * cfg.source_power * h1 * h1
-            / cfg.hop1_distance ** cfg.hop1_pathloss)
-
-
-def relay_power(cfg: SystemConfig, h1: float) -> float:
-    """Transmit power available at the relay: harvest spread over the data slot."""
-    return harvested_energy(cfg, h1) / ((1.0 - cfg.eh_time_fraction) * cfg.block_time)
-
-
-def snr_df_relay(cfg: SystemConfig, draw: ChannelDraw) -> float:
-    """Relay-side SNR under decode-and-forward: 1 / (kappa * h3^2).
-
-    The source term and the loop-back term both scale with the source power,
-    so the ratio is independent of it; only the harvesting conversion factor
-    and the residual loop-back gain remain.
-    """
-    eta = cfg.eh_time_fraction
-    kappa = cfg.eh_efficiency * eta / (1.0 - eta)
-    return 1.0 / (kappa * draw.h3 * draw.h3)
-
-
-def snr_df_dest(cfg: SystemConfig, draw: ChannelDraw) -> float:
-    """Destination SNR under decode-and-forward."""
-    eta = cfg.eh_time_fraction
-    kappa = cfg.eh_efficiency * eta / (1.0 - eta)
-    path = (cfg.hop1_distance ** cfg.hop1_pathloss
-            * cfg.hop2_distance ** cfg.hop2_pathloss)
-    return (kappa * cfg.source_power * (draw.h1 * draw.h2) ** 2
-            / (path * cfg.noise_dest_var))
-
-
-def snr_af_dest(cfg: SystemConfig, draw: ChannelDraw) -> float:
-    """End-to-end SNR under amplify-and-forward.
-
-    gamma = b1 Z / (b2 V Z + b3 V + b4) with Z = h1^2 h2^2 and V = h3^2.
-    Bounded above by 1/(kappa V): the loop-back floor survives any source
-    power.
-    """
-    c = derive_constants(cfg)
-    z = (draw.h1 * draw.h2) ** 2
-    v = draw.h3 * draw.h3
-    return c.beta1 * z / (c.beta2 * v * z + c.beta3 * v + c.beta4)
-
-
-def relay_gain(cfg: SystemConfig, draw: ChannelDraw) -> float:
-    """Amplification gain normalizing the relay input power to unity.
-
-    Cancels out of the reduced destination SNR; kept for the unreduced
-    cross-check and for completeness.
-    """
-    p_in = (cfg.source_power * draw.h1 ** 2
-            / cfg.hop1_distance ** cfg.hop1_pathloss
-            + relay_power(cfg, draw.h1) * draw.h3 ** 2
-            + cfg.noise_relay_var)
-    return 1.0 / math.sqrt(p_in)
-
-
-def _snr_af_dest_longform(cfg: SystemConfig, draw: ChannelDraw) -> float:
-    """Unsimplified amplify-and-forward SNR, written against the relay power.
-
-    Same quantity as ``snr_af_dest`` before the substitution of the
-    harvested relay power; retained as an internal consistency check.
-    """
-    pr = relay_power(cfg, draw.h1)
-    d1m = cfg.hop1_distance ** cfg.hop1_pathloss
-    d2m = cfg.hop2_distance ** cfg.hop2_pathloss
-    h1s, h2s, h3s = draw.h1 ** 2, draw.h2 ** 2, draw.h3 ** 2
-    sr2 = cfg.noise_relay_var
-    num = cfg.source_power * h1s * h2s
-    den = (pr * d1m * h2s * h3s
-           + cfg.source_power * d2m * h1s * sr2 / pr
-           + h3s * d1m * d2m * sr2)
-    return num / den
-
-
-def capacity(cfg: SystemConfig, gamma_eff: float) -> float:
-    """Instantaneous end-to-end capacity in bits/s/Hz.
-
-    The prefactor is the data-slot share of the block, which is what makes
-    capacity < target_rate equivalent to gamma_eff < nu.
-    """
-    if gamma_eff < 0.0:
-        raise DomainError("gamma_eff must be nonnegative")
-    return (1.0 - cfg.eh_time_fraction) * math.log2(1.0 + gamma_eff)
+    if mode == "df":
+        return np.minimum(1.0 / (c.kappa * v), c.dest_coef * z)
+    if mode == "af":
+        return c.beta1 * z / (c.beta2 * v * z + c.beta3 * v + c.beta4)
+    raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")

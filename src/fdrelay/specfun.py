@@ -10,7 +10,7 @@ cross-check in the test suite:
 * ``bessel_k``         modified Bessel function of the second kind for real
                        order, uniform Temme series for x <= 2 crossed with a
                        Steed continued fraction beyond it
-* ``meijer_g_2131``    the one Meijer G instance needed here: the kernel that
+* ``_g2131_eval``      the one Meijer G instance needed here: the kernel that
                        closes the CDF of a product of two gamma-power
                        variates.  Evaluated by its ascending residue series
                        (two hypergeometric-type branches), by the confluent
@@ -19,15 +19,15 @@ cross-check in the test suite:
                        argument.
 
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
-for order in [0, 20] and argument in [1e-8, 700]; ``meijer_g_2131`` holds
+for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
 1e-8 relative on its restricted parameter pattern for argument in
-[1e-10, 1e4].  All functions are pure and reentrant.
+[1e-10, 1e4] and returns its own error estimate.  All functions are pure and
+reentrant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive, integrate_to_infinity
@@ -70,21 +70,6 @@ def _zeta_int(k: int, n_direct: int = 28) -> float:
 
 # zeta(2) .. zeta(39), enough for the Temme coefficients at |mu| <= 0.5
 _ZETAS = tuple(_zeta_int(k) for k in range(2, 40))
-
-
-@dataclass(frozen=True)
-class Accuracy:
-    """Requested accuracy for the special-function evaluators."""
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-
-
-DEFAULT_ACCURACY = Accuracy()
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +195,9 @@ def _temme_coefficients(mu: float):
         k += 1
         if abs(p) < 1e-40:
             break
-    w_over_mu = w / mu if mu != 0.0 else EULER_GAMMA
+    # below 1e-150 w/mu equals EULER_GAMMA to double precision, while
+    # dividing by a subnormal mu would lose every digit of the quotient
+    w_over_mu = w / mu if abs(mu) > 1e-150 else EULER_GAMMA
     e_fac = math.exp(-even_sum)
     sinhc = math.sinh(w) / w if w != 0.0 else 1.0
     gam1 = -e_fac * sinhc * w_over_mu
@@ -340,18 +327,16 @@ def bessel_k(nu: float, x: float) -> float:
 #     G(x) = 2 x^{-s} Integral_0^x v^{s-1} K_delta(2 sqrt(v)) dv,
 #
 # which the quadrature fallback and the large-argument complement use
-# directly.  With the rational factor of the integrand removed the same
-# machinery degenerates to G^{2,0}_{0,2}(x | b, -b) = 2 K_delta(2 sqrt(x)).
+# directly.
 
 _X_SERIES_MAX = 12.0   # beyond this the ascending series cancel too hard
 _NEAR_INTEGER = 1e-4   # branch-collision guard for the two-series form
 
 
-def _g_series_noninteger(delta: float, sigma, x: float):
+def _g_series_noninteger(delta: float, sigma: float, x: float):
     """Two-branch ascending series, requires delta away from the integers.
 
-    ``sigma=None`` removes the rational factor and yields the degenerate
-    2 K_delta(2 sqrt(x)) kernel.  Returns (value, abs error estimate).
+    Returns (value, abs error estimate).
     """
     delta = abs(delta)
     if delta == 0.0:
@@ -369,7 +354,7 @@ def _g_series_noninteger(delta: float, sigma, x: float):
         for k in range(0, 600):
             if k > 0:
                 term *= x / (k * (k + pochh_shift))
-            w = term / (sigma + b_h + k) if sigma is not None else term
+            w = term / (sigma + b_h + k)
             total += w
             max_mag = max(max_mag, abs(w))
             used = k
@@ -389,7 +374,7 @@ def _g_series_noninteger(delta: float, sigma, x: float):
     return value, err
 
 
-def _g_series_integer(d: int, sigma, x: float):
+def _g_series_integer(d: int, sigma: float, x: float):
     """Confluent (logarithmic) series for integer branch separation d >= 0.
 
     The collided poles contribute digamma and ln x terms; the d leading
@@ -401,8 +386,7 @@ def _g_series_integer(d: int, sigma, x: float):
     for j in range(d):
         t = ((-1.0) ** j) * math.factorial(d - 1 - j) / math.factorial(j) \
             * x ** (j - d / 2.0)
-        if sigma is not None:
-            t /= (sigma + j - d / 2.0)
+        t /= (sigma + j - d / 2.0)
         total += t
         mag = max(mag, abs(t))
     sign = -1.0 if d % 2 else 1.0
@@ -414,11 +398,8 @@ def _g_series_integer(d: int, sigma, x: float):
         if k > 0:
             term *= x / (k * (d + k))
         psi_part = _digamma_int(k + 1) + _digamma_int(d + k + 1) - lnx
-        if sigma is not None:
-            c = sigma + k + d / 2.0
-            contrib = sign * xp * term * (psi_part + 1.0 / c) / c
-        else:
-            contrib = sign * xp * term * psi_part
+        c = sigma + k + d / 2.0
+        contrib = sign * xp * term * (psi_part + 1.0 / c) / c
         total += contrib
         mag = max(mag, abs(contrib))
         used = k
@@ -498,60 +479,3 @@ def _g2131_eval(delta: float, sigma: float, x: float):
         if c_err < err:
             return c_value, c_err
     return value, err
-
-
-def meijer_g_2131(a1: float, b, x: float,
-                  accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
-    """Meijer G^{2,1}_{1,3} on the product-CDF parameter pattern.
-
-    ``b`` is the lower-parameter triple written in the conventional printed
-    order (h, -s, -h): positions 0 and 2 carry the symmetric pair +-h that
-    generates the two ascending branches, position 1 carries -s = a1 - 1.
-    That grouping, rather than the first-two-versus-last split, is the one
-    fixed by the CDF derivation and confirmed against the Bessel-kernel
-    quadrature oracle.
-
-    Raises DomainError off the pattern or for x <= 0, and ConvergenceError
-    (carrying the achieved estimate) if the requested accuracy is missed.
-    """
-    if not x > 0.0:
-        raise DomainError(f"meijer_g_2131 requires x > 0, got {x}")
-    b = tuple(float(v) for v in b)
-    if len(b) != 3:
-        raise DomainError("b must be a triple")
-    b1, b2, b3 = b
-    if abs(b1 + b3) > 1e-9 * (1.0 + abs(b1)):
-        raise DomainError("b[0] and b[2] must form a symmetric pair")
-    if abs((a1 - 1.0) - b2) > 1e-9 * (1.0 + abs(b2)):
-        raise DomainError("b[1] must equal a1 - 1")
-    sigma = -b2
-    delta = abs(b1 - b3)
-    if sigma - delta / 2.0 <= 0.0:
-        raise DomainError("pattern requires sigma > |delta|/2")
-    value, err = _g2131_eval(delta, sigma, x)
-    if err > max(accuracy.abs_tol, accuracy.rel_tol * abs(value)):
-        raise ConvergenceError(
-            f"meijer_g_2131 achieved error {err:.3e} at x={x:.6g}",
-            value=value, error_estimate=err)
-    return value
-
-
-def product_kernel_g2002(b1: float, b2: float, x: float) -> float:
-    """Degenerate kernel G^{2,0}_{0,2}(x | b1, b2) = 2 x^{(b1+b2)/2} K_{b1-b2}(2 sqrt x).
-
-    Runs the same residue-series machinery as the full evaluator with the
-    rational factor removed; exists so the reduction can be tested against
-    ``bessel_k`` directly.
-    """
-    if not x > 0.0:
-        raise DomainError("x must be positive")
-    shift = 0.5 * (b1 + b2)
-    delta = abs(b1 - b2)
-    d_int = round(delta)
-    if abs(delta - d_int) == 0.0:
-        val, _ = _g_series_integer(int(d_int), None, x)
-    elif abs(delta - d_int) < _NEAR_INTEGER:
-        val = 2.0 * bessel_k(delta, 2.0 * math.sqrt(x))
-    else:
-        val, _ = _g_series_noninteger(delta, None, x)
-    return x ** shift * val

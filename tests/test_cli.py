@@ -122,6 +122,11 @@ def test_sweep_grammar():
     assert len(vals) == 12
     assert vals[0] == pytest.approx(0.5)
     assert vals[-1] == pytest.approx(6.0)
+    assert vals == [0.5 * (i + 1) for i in range(12)]   # bit-identical grid
+    tenths = _parse_sweep_flag("0.1:1:0.1", "target_rate").values()
+    assert len(tenths) == 10
+    assert all(v == 0.1 + i * 0.1 for i, v in enumerate(tenths))
+    assert tenths[-1] == 1.0
     assert _parse_sweep_flag("10:10:1", "source_power").values() == [10.0]
     with pytest.raises(ScenarioError):
         _parse_sweep_flag("1:2", "target_rate")
@@ -254,6 +259,27 @@ def test_main_error_exit_codes(tmp_path):
     bad.write_text("{}")
     assert main(["--config", str(bad)]) == 2
     assert main(["--preset", "rayleigh", "--method", "mc", "--samples", "100"]) == 2
+
+
+def test_mixed_alpha_scenario(tmp_path):
+    # the closed forms need equal hop alphas: analytic methods end in a
+    # configuration error, while the exact sampler handles any alpha
+    cfg = dict(GOOD_CONFIG, hop2_fading={"alpha": 3.0, "mu": 1.0, "r_hat": 1.0})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"id": "mixed", "config": cfg}))
+    base = [sys.executable, "-m", "fdrelay.cli", "--config", str(path)]
+    proc = subprocess.run(base + ["--method", "analytic"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    proc = subprocess.run(base + ["--method", "mc", "--samples", "10000"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    rows = rows_from_csv(proc.stdout)
+    assert [r.mode for r in rows] == ["af", "df"]
+    assert all(0.0 <= r.outage <= 1.0 and r.n_samples == 10_000 for r in rows)
 
 
 def test_analytic_rows_regenerate_from_fields(tmp_path):

@@ -8,15 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from fdrelay.errors import AlphaMismatchError, DomainError
+from fdrelay.errors import DomainError
 from fdrelay.fading import (
     AlphaMuParams,
-    PowerLambda,
     ProductDistParams,
     cdf_envelope,
     cdf_power,
     cdf_product,
-    cdf_product_mixed_alpha,
     pdf_envelope,
     pdf_power,
     pdf_product,
@@ -48,14 +46,11 @@ def test_params_validation():
 
 def test_power_lambda():
     p = AlphaMuParams(alpha=3.0, mu=2.0, r_hat=2.0)
-    assert PowerLambda.from_params(p).value == pytest.approx(2.0 / 8.0)
-    assert power_rate(p) == pytest.approx(0.25)
-    with pytest.raises(DomainError):
-        PowerLambda(0.0)
+    assert power_rate(p) == pytest.approx(2.0 / 8.0)
 
 
 def test_product_params_alpha_mismatch():
-    with pytest.raises(AlphaMismatchError):
+    with pytest.raises(DomainError):
         ProductDistParams(AlphaMuParams(2.0, 1.0), AlphaMuParams(3.0, 1.0))
 
 
@@ -216,21 +211,6 @@ def test_cdf_product_derivative_matches_pdf():
             num = (cdf_product(pp, z + h) - cdf_product(pp, z - h)) / (2.0 * h)
             ref = pdf_product(pp, z)
             assert abs(num - ref) <= 1e-6 * (1.0 + abs(ref))
-
-
-def test_cdf_product_mixed_alpha_plumbing():
-    # agrees with the closed form when the alphas happen to match
-    pp = _pp(2.0, 1.0, 2.0)
-    for z in (0.2, 1.5):
-        assert cdf_product_mixed_alpha(pp.hop1, pp.hop2, z) == pytest.approx(
-            cdf_product(pp, z), abs=1e-8)
-    # and is a genuine CDF for mixed alphas
-    h1 = AlphaMuParams(2.0, 1.0)
-    h2 = AlphaMuParams(3.0, 2.0)
-    vals = [cdf_product_mixed_alpha(h1, h2, z) for z in (0.0, 0.1, 1.0, 10.0, 1e4)]
-    assert vals[0] == 0.0
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] == pytest.approx(1.0, abs=1e-7)
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from fdrelay.errors import DomainError
-from fdrelay.mcsim import McEstimate, simulate_outage, simulate_sweep, wilson_interval
+from fdrelay.mcsim import McEstimate, simulate_outage, wilson_interval
 from fdrelay.outage import outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
 
@@ -14,8 +14,6 @@ def test_input_validation():
         simulate_outage(cfg, "df", 5000, 1)
     with pytest.raises(DomainError):
         simulate_outage(cfg, "hd", 10_000, 1)
-    with pytest.raises(DomainError):
-        simulate_sweep([], "df", 10_000, 1)
 
 
 def test_wilson_interval_properties():
@@ -51,24 +49,17 @@ def test_negligible_threshold_gives_zero():
     assert est.stderr == 0.0
 
 
-def test_sweep_of_one_equals_single_run():
-    cfg = preset_config("nakagami", target_rate=1.3)
-    single = simulate_outage(cfg, "af", 20_000, seed=11)
-    swept = simulate_sweep([cfg], "af", 20_000, seed=11)
-    assert swept == [single]
-
-
 def test_sweep_permutation_permutes_results():
     grid = [preset_config("rayleigh", target_rate=r) for r in (0.5, 1.0, 2.0, 4.0)]
-    fwd = simulate_sweep(grid, "df", 20_000, seed=5)
-    rev = simulate_sweep(grid[::-1], "df", 20_000, seed=5)
+    fwd = [simulate_outage(cfg, "df", 20_000, seed=5) for cfg in grid]
+    rev = [simulate_outage(cfg, "df", 20_000, seed=5) for cfg in grid[::-1]]
     assert fwd == rev[::-1]
 
 
 def test_rate_sweep_monotone_within_ci():
     rates = [0.5, 1.0, 2.0, 3.0, 4.5]
     grid = [preset_config("rayleigh", target_rate=r) for r in rates]
-    ests = simulate_sweep(grid, "df", 100_000, seed=9)
+    ests = [simulate_outage(cfg, "df", 100_000, seed=9) for cfg in grid]
     for a, b in zip(ests, ests[1:]):
         assert b.p_hat >= a.p_hat - 3.0 * (a.stderr + b.stderr)
 
