@@ -210,25 +210,6 @@ def emit(rows, fmt: str, path: str | None) -> None:
             fh.write(text)
 
 
-def rows_from_csv(text: str):
-    """Parse emitted CSV back into ResultRow objects (round-trip helper)."""
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ScenarioError("unexpected CSV header")
-    out = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        out.append(ResultRow(
-            scenario_id=f[0], sweep_value=float(f[1]), mode=f[2], method=f[3],
-            outage=float(f[4]), err=float(f[5]), n_samples=int(f[6]),
-            seed=int(f[7]), runtime_ms=int(f[8])))
-    return out
-
-
-def rows_from_json(text: str):
-    return [ResultRow(**obj) for obj in json.loads(text)]
-
-
 def _parse_sweep_flag(raw: str, parameter: str) -> Sweep:
     parts = raw.split(":")
     if len(parts) != 3:

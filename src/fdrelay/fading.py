@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .specfun import (
     EPS,
@@ -183,7 +183,11 @@ def product_arg_clamp(mu1: float, mu2: float) -> float:
 
 
 def _cdf_product_meijer(pp: ProductDistParams, z: float):
-    """(value, abs error) of F_Z(z) through the residue-series kernel."""
+    """(value, abs error) of F_Z(z) through the residue-series kernel.
+
+    Raises ``ConvergenceError`` carrying the best F_Z value and its error
+    when the near-integer kernel quadrature does not converge.
+    """
     a = pp.hop1.alpha
     m1, m2 = pp.hop1.mu, pp.hop2.mu
     l1, l2 = power_rate(pp.hop1), power_rate(pp.hop2)
@@ -195,9 +199,16 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
         return 1.0, 1e-14
     sigma = 0.5 * (m1 + m2)
     delta = m1 - m2
-    gval, gerr = _g2131_eval(delta, sigma, x)
     norm = math.exp(-_ln_product_norm(pp))
     xs = x ** sigma
+    try:
+        gval, gerr = _g2131_eval(delta, sigma, x)
+    except ConvergenceError as exc:
+        # the kernel reports G; hand the caller F_Z and its error instead
+        value = xs * exc.value * norm
+        err = xs * exc.error_estimate * norm + 4.0 * EPS * abs(value)
+        raise ConvergenceError(str(exc), value=min(1.0, max(0.0, value)),
+                               error_estimate=err) from None
     value = xs * gval * norm
     err = xs * gerr * norm + 4.0 * EPS * abs(value)
     return min(1.0, max(0.0, value)), err

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .fading import (
     ProductDistParams,
     cdf_power,
@@ -60,17 +60,25 @@ def _product_params(cfg: SystemConfig) -> ProductDistParams:
 
 
 def outage_df(cfg: SystemConfig) -> OutageResult:
-    """Decode-and-forward outage probability, closed form."""
+    """Decode-and-forward outage probability, closed form.
+
+    If F_Z does not converge, the result carries its best value and error
+    estimate with ``converged=False``.
+    """
     pp = _product_params(cfg)
     c = derive_constants(cfg)
     v_star = 1.0 / (c.kappa * c.nu)
     f_v = cdf_power(cfg.lbi_fading, v_star)
     z_thresh = c.nu * c.path * cfg.noise_dest_var / (c.kappa * cfg.source_power)
-    f_z, f_z_err = _cdf_product_meijer(pp, z_thresh)
+    try:
+        f_z, f_z_err = _cdf_product_meijer(pp, z_thresh)
+        converged = True
+    except ConvergenceError as exc:
+        f_z, f_z_err, converged = exc.value, exc.error_estimate, False
     value = 1.0 - f_v * (1.0 - f_z)
     err = f_v * f_z_err + 8.0 * EPS
     return OutageResult(value=min(1.0, max(0.0, value)),
-                        method=DF_ANALYTIC, numeric_error=err)
+                        method=DF_ANALYTIC, numeric_error=err, converged=converged)
 
 
 def outage_af(cfg: SystemConfig,
@@ -83,7 +91,9 @@ def outage_af(cfg: SystemConfig,
     runs in the gamma space of the loop-back power (killing the v -> 0
     density singularity exactly), the upper half in u = 1 - kappa nu v so
     the diverging F_Z argument collapses onto u -> 0, where F_Z clamps to 1
-    and the integrand degenerates to the plain loop-back density.
+    and the integrand degenerates to the plain loop-back density.  An F_Z
+    call whose kernel quadrature fails contributes its best value and marks
+    the result unconverged.
     """
     settings = settings or QuadratureSettings()
     pp = _product_params(cfg)
@@ -99,14 +109,18 @@ def outage_af(cfg: SystemConfig,
     l1l2 = power_rate(cfg.hop1_fading) * power_rate(cfg.hop2_fading)
     alpha = cfg.hop1_fading.alpha
     clamp_x = product_arg_clamp(cfg.hop1_fading.mu, cfg.hop2_fading.mu)
+    f_z_failed = []
 
     def f_z(arg):
         if arg <= 0.0:
             return 0.0
         if l1l2 * arg ** (0.5 * alpha) >= clamp_x:
             return 1.0
-        val, _ = _cdf_product_meijer(pp, arg)
-        return val
+        try:
+            return _cdf_product_meijer(pp, arg)[0]
+        except ConvergenceError as exc:
+            f_z_failed.append(arg)
+            return exc.value
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
@@ -144,7 +158,7 @@ def outage_af(cfg: SystemConfig,
     err = err_lo + err_up + 8.0 * EPS
     return OutageResult(value=min(1.0, max(0.0, value)),
                         method=AF_ANALYTIC, numeric_error=err,
-                        converged=ok_lo and ok_up)
+                        converged=ok_lo and ok_up and not f_z_failed)
 
 
 def outage_high_snr(cfg: SystemConfig) -> OutageResult:

@@ -12,11 +12,10 @@ from fdrelay.cli import (
     emit,
     load_scenario,
     main,
-    rows_from_csv,
-    rows_from_json,
     _parse_sweep_flag,
 )
-from fdrelay.errors import ScenarioError
+from fdrelay import specfun
+from fdrelay.errors import ConvergenceError, ScenarioError
 from fdrelay.outage import outage_af, outage_df
 from fdrelay.presets import preset_config
 
@@ -32,6 +31,24 @@ GOOD_CONFIG = {
     "eh_efficiency": 1.0, "eh_time_fraction": 0.5,
     "target_rate": 1.0,
 }
+
+
+def rows_from_csv(text: str):
+    """Parse emitted CSV back into ResultRow objects."""
+    lines = [ln for ln in text.splitlines() if ln]
+    assert lines and lines[0] == CSV_HEADER
+    out = []
+    for ln in lines[1:]:
+        f = ln.split(",")
+        out.append(ResultRow(
+            scenario_id=f[0], sweep_value=float(f[1]), mode=f[2], method=f[3],
+            outage=float(f[4]), err=float(f[5]), n_samples=int(f[6]),
+            seed=int(f[7]), runtime_ms=int(f[8])))
+    return out
+
+
+def rows_from_json(text: str):
+    return [ResultRow(**obj) for obj in json.loads(text)]
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +297,33 @@ def test_mixed_alpha_scenario(tmp_path):
     rows = rows_from_csv(proc.stdout)
     assert [r.mode for r in rows] == ["af", "df"]
     assert all(0.0 <= r.outage <= 1.0 and r.n_samples == 10_000 for r in rows)
+
+
+def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
+    # shapes 1.5 and 2.50005 put F_Z in the near-integer kernel-quadrature
+    # band; make that quadrature report non-convergence with its best value
+    real = specfun._g_kernel_quadrature
+    calls = []
+
+    def failing(delta, sigma, x):
+        value, err = real(delta, sigma, x)
+        calls.append(x)
+        raise ConvergenceError("forced", value=value, error_estimate=err)
+
+    monkeypatch.setattr(specfun, "_g_kernel_quadrature", failing)
+    cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 1.5, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": 2.50005, "r_hat": 1.0})
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps({"id": "near", "config": cfg}))
+    code = main(["--config", str(path), "--method", "analytic"])
+    out, err = capsys.readouterr()
+    assert calls
+    assert code == 3
+    rows = rows_from_csv(out)
+    assert [r.mode for r in rows] == ["af", "df"]
+    assert all(0.0 < r.outage < 1.0 for r in rows)
+    assert "error: at least one row did not converge" in err.splitlines()
+    assert "Traceback" not in err
 
 
 def test_analytic_rows_regenerate_from_fields(tmp_path):

@@ -3,7 +3,8 @@ import math
 import pytest
 from scipy import integrate, special
 
-from fdrelay.errors import DomainError
+from fdrelay import specfun
+from fdrelay.errors import ConvergenceError, DomainError
 from fdrelay.fading import ProductDistParams, cdf_product, pdf_power, cdf_power
 from fdrelay.outage import OutageResult, outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
@@ -83,6 +84,27 @@ def test_outage_af_convergence_flag_propagates():
     res = outage_af(cfg, settings=starved)
     assert not res.converged
     assert 0.0 <= res.value <= 1.0
+
+
+def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
+    # shapes 1.5 and 2.50005 put F_Z in the near-integer kernel-quadrature
+    # band; when that quadrature reports failure with its best kernel value,
+    # the engines return the same outage and error, flagged unconverged
+    hop = dataclasses.replace(preset_config("rayleigh").hop1_fading, mu=1.5)
+    cfg = dataclasses.replace(preset_config("rayleigh", target_rate=1.0), hop1_fading=hop,
+                              hop2_fading=dataclasses.replace(hop, mu=2.50005))
+    good = outage_df(cfg), outage_af(cfg)
+    real = specfun._g_kernel_quadrature
+
+    def failing(delta, sigma, x):
+        value, err = real(delta, sigma, x)
+        raise ConvergenceError("forced", value=value, error_estimate=err)
+
+    monkeypatch.setattr(specfun, "_g_kernel_quadrature", failing)
+    for ref, res in zip(good, (outage_df(cfg), outage_af(cfg))):
+        assert ref.converged and not res.converged
+        assert res.value == ref.value
+        assert res.numeric_error == ref.numeric_error
 
 
 def test_outage_high_snr_examples():

@@ -13,16 +13,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from fdrelay import specfun
 from fdrelay.errors import DomainError
+from fdrelay.quadrature import QuadratureSettings, integrate_to_infinity
 from fdrelay.specfun import (
     bessel_k,
     gamma_fn,
     ln_gamma,
     reg_lower_gamma,
+    _LAGUERRE_16,
+    _LAGUERRE_20,
     _bessel_k_cf2,
+    _bessel_k_scaled,
     _bessel_k_series,
     _digamma_int,
     _g2131_eval,
+    _kernel_tail,
     _zeta_int,
 )
 
@@ -184,6 +190,74 @@ def test_bessel_k_positive_and_decreasing(nu, data):
     for a, b, xa, xb in zip(vals, vals[1:], xs, xs[1:]):
         if xb > xa * (1.0 + 1e-12):
             assert b < a * (1.0 + 1e-12)
+
+
+# ----------------------------------------------------------------------
+# large-argument kernel tail
+
+def test_gauss_laguerre_rules_match_numpy():
+    for n, (nodes, weights) in ((20, _LAGUERRE_20), (16, _LAGUERRE_16)):
+        ref_nodes, ref_weights = np.polynomial.laguerre.laggauss(n)
+        assert nodes == pytest.approx(ref_nodes, rel=1e-12)
+        assert weights == pytest.approx(ref_weights, rel=1e-12)
+
+
+def adaptive_kernel_tail(delta, sigma, x0):
+    """The tail as an adaptive integral to infinity in t = 2 sqrt(v)."""
+    t0 = 2.0 * math.sqrt(x0)
+
+    def f(t):
+        if t > 800.0:
+            return 0.0
+        return t ** (2.0 * sigma - 1.0) * math.exp(-t) * _bessel_k_scaled(delta, t)
+
+    settings = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400)
+    val, err, ok = integrate_to_infinity(
+        f, t0, settings, breakpoints=(t0 + 2.0, t0 + 8.0, t0 + 25.0, t0 + 60.0))
+    assert ok
+    scale = 2.0 ** (2.0 - 2.0 * sigma)
+    return scale * val, scale * err
+
+
+def test_kernel_tail_matches_adaptive_reference(monkeypatch):
+    # 6 x 10 x 13 = 780 cells over delta in [0, 7.5], sigma in [1, 8],
+    # x0 in [12, 1e5]; the upper end puts t0 = 2 sqrt(x0) near 632
+    fallbacks = []
+
+    def counted(*args, **kwargs):
+        fallbacks.append(args[1])
+        return integrate_to_infinity(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "integrate_to_infinity", counted)
+    for delta in (0.0, 0.3, 1.0, 2.5, 4.75, 7.5):
+        for sigma in np.linspace(1.0, 8.0, 10):
+            for x0 in np.geomspace(12.0, 1e5, 13):
+                sigma, x0 = float(sigma), float(x0)
+                before = len(fallbacks)
+                value, err, ok = _kernel_tail(delta, sigma, x0)
+                ref, ref_err = adaptive_kernel_tail(delta, sigma, x0)
+                cell = (delta, sigma, x0)
+                assert ok, cell
+                assert abs(value - ref) <= 1e-12 * ref, cell
+                assert abs(value - ref) <= err + ref_err, cell
+                if sigma - delta / 2.0 >= 0.5:
+                    # shapes mu1, mu2 >= 0.5: the fixed rule serves every cell
+                    assert len(fallbacks) == before, cell
+
+
+def test_kernel_tail_falls_back_beyond_the_laguerre_nodes():
+    # with sigma = 30 the integrand peaks near t = 59, past t0 + the last
+    # node; the 20-point rule is off by 8e-4 there and must not be used
+    for x0 in (12.0, 40.0, 200.0):
+        value, err, ok = _kernel_tail(1.0, 30.0, x0)
+        ref, ref_err = adaptive_kernel_tail(1.0, 30.0, x0)
+        assert ok
+        assert value == pytest.approx(ref, rel=1e-12)
+        assert err <= 1e-12 * value
+
+
+def test_kernel_tail_vanishes_past_the_double_range():
+    assert _kernel_tail(1.0, 2.0, 401.0 ** 2) == (0.0, 0.0, True)
 
 
 # ----------------------------------------------------------------------
