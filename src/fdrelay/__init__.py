@@ -6,7 +6,7 @@ closed-form outage expressions with an independent Monte Carlo simulator so
 each can validate the other, and ships a CLI for parameter sweeps.
 """
 
-from .errors import ConvergenceError, DomainError, ScenarioError
+from .errors import DomainError, ScenarioError
 from .fading import (
     AlphaMuParams,
     ProductDistParams,
@@ -55,7 +55,6 @@ __all__ = [
     "PRESET_NAMES",
     "preset_config",
     # errors
-    "ConvergenceError",
     "DomainError",
     "ScenarioError",
 ]

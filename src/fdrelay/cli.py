@@ -272,14 +272,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate-sweep", metavar="a:b:s", help="sweep target rate")
     p.add_argument("--power-sweep", metavar="a:b:s", help="sweep source power")
     p.add_argument("--alpha-sweep", metavar="a:b:s", help="sweep alpha on all branches")
-    p.add_argument("--mu", type=float, help="override mu on all branches (presets)")
+    p.add_argument("--mu", type=float, help="override mu on all branches")
     p.add_argument("--eta", type=float, help="override the harvesting time fraction")
     p.add_argument("--power", type=float,
                    help="override the source power without sweeping it")
     p.add_argument("--rate", type=float,
                    help="override the target rate without sweeping it")
     p.add_argument("--lbi-r-hat", type=float, dest="lbi_r_hat",
-                   help="override the residual loop-back envelope scale (presets)")
+                   help="override the residual loop-back envelope scale")
     p.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo draws")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -290,32 +290,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_scenario(args) -> Scenario:
     if args.config:
         scenario = load_scenario(args.config)
-        cfg = scenario.config
-        if args.eta is not None:
-            cfg = dataclasses.replace(cfg, eh_time_fraction=args.eta)
-        if args.mu is not None:
-            cfg = apply_sweep_value(cfg, "mu", args.mu)
-        if args.power is not None:
-            cfg = dataclasses.replace(cfg, source_power=args.power)
-        if args.rate is not None:
-            cfg = dataclasses.replace(cfg, target_rate=args.rate)
-        if args.lbi_r_hat is not None:
-            cfg = dataclasses.replace(
-                cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, r_hat=args.lbi_r_hat))
-        scenario = dataclasses.replace(scenario, config=cfg)
     else:
-        kwargs = {}
-        if args.eta is not None:
-            kwargs["eta"] = args.eta
-        if args.mu is not None:
-            kwargs["mu"] = args.mu
-        if args.power is not None:
-            kwargs["source_power"] = args.power
-        if args.rate is not None:
-            kwargs["target_rate"] = args.rate
-        if args.lbi_r_hat is not None:
-            kwargs["lbi_r_hat"] = args.lbi_r_hat
-        scenario = Scenario(id=args.preset, config=preset_config(args.preset, **kwargs))
+        scenario = Scenario(id=args.preset, config=preset_config(args.preset))
+    cfg = scenario.config
+    for param, value in (("eh_time_fraction", args.eta), ("mu", args.mu),
+                         ("source_power", args.power), ("target_rate", args.rate)):
+        if value is not None:
+            cfg = apply_sweep_value(cfg, param, value)
+    if args.lbi_r_hat is not None:
+        cfg = dataclasses.replace(
+            cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, r_hat=args.lbi_r_hat))
+    scenario = dataclasses.replace(scenario, config=cfg)
 
     sweeps = [(flag, param) for flag, param in (
         (args.rate_sweep, "target_rate"),

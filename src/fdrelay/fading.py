@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .specfun import (
     EPS,
@@ -183,10 +183,10 @@ def product_arg_clamp(mu1: float, mu2: float) -> float:
 
 
 def _cdf_product_meijer(pp: ProductDistParams, z: float):
-    """(value, abs error) of F_Z(z) through the residue-series kernel.
+    """(value, abs error, converged) of F_Z(z) through the residue-series kernel.
 
-    Raises ``ConvergenceError`` carrying the best F_Z value and its error
-    when the near-integer kernel quadrature does not converge.
+    ``converged`` is the kernel's flag; an unconverged F_Z still carries its
+    best value and error.  The two clamped ends are exact to their error.
     """
     a = pp.hop1.alpha
     m1, m2 = pp.hop1.mu, pp.hop2.mu
@@ -194,24 +194,16 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
     x = l1 * l2 * z ** (0.5 * a)
     if x < 1e-30:
         # F is bounded by ~x^{min mu} |ln x|, far below any tolerance here
-        return 0.0, 1e-15
+        return 0.0, 1e-15, True
     if x >= product_arg_clamp(m1, m2):
-        return 1.0, 1e-14
+        return 1.0, 1e-14, True
     sigma = 0.5 * (m1 + m2)
-    delta = m1 - m2
     norm = math.exp(-_ln_product_norm(pp))
     xs = x ** sigma
-    try:
-        gval, gerr = _g2131_eval(delta, sigma, x)
-    except ConvergenceError as exc:
-        # the kernel reports G; hand the caller F_Z and its error instead
-        value = xs * exc.value * norm
-        err = xs * exc.error_estimate * norm + 4.0 * EPS * abs(value)
-        raise ConvergenceError(str(exc), value=min(1.0, max(0.0, value)),
-                               error_estimate=err) from None
+    gval, gerr, ok = _g2131_eval(m1 - m2, sigma, x)
     value = xs * gval * norm
     err = xs * gerr * norm + 4.0 * EPS * abs(value)
-    return min(1.0, max(0.0, value)), err
+    return min(1.0, max(0.0, value)), err, ok
 
 
 def _cdf_product_quadrature(pp: ProductDistParams, z: float,
@@ -251,14 +243,15 @@ def cdf_product(pp: ProductDistParams, z: float, route: str = "meijer") -> float
 
     ``route="meijer"`` assembles the closed form from the restricted Meijer
     kernel; ``route="quadrature"`` integrates ``pdf_product``.  The two are
-    implemented independently and must agree to 1e-7 absolute.
+    implemented independently and must agree to 1e-7 absolute.  Both return
+    their best value and drop the converged flag of their route.
     """
     if z < 0.0:
         raise DomainError(f"cdf_product requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
     if route == "meijer":
-        value, _ = _cdf_product_meijer(pp, z)
+        value, _, _ = _cdf_product_meijer(pp, z)
         return value
     if route == "quadrature":
         value, _, _ = _cdf_product_quadrature(pp, z)

@@ -8,8 +8,8 @@ Three engines:
 
 * ``outage_df``      closed form from the independence of the loop-back
                      power V and the product of hop powers Z:
-                     1 - F_V(1/(kappa nu)) * (1 - F_Z(nu * path * sigma_D^2
-                     / (kappa P_S)))
+                     1 - F_V(1/(kappa nu)) * (1 - F_Z(nu / dest_coef)),
+                     dest_coef = kappa P_S / (path sigma_D^2)
 * ``outage_af``      semi-analytic: the loop-back tail mass plus an adaptive
                      quadrature of F_Z over the conditional threshold curve
 * ``outage_high_snr`` the shared large-power floor 1 - F_V(1/(kappa nu)),
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .fading import (
     ProductDistParams,
     cdf_power,
@@ -69,12 +69,7 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
     c = derive_constants(cfg)
     v_star = 1.0 / (c.kappa * c.nu)
     f_v = cdf_power(cfg.lbi_fading, v_star)
-    z_thresh = c.nu * c.path * cfg.noise_dest_var / (c.kappa * cfg.source_power)
-    try:
-        f_z, f_z_err = _cdf_product_meijer(pp, z_thresh)
-        converged = True
-    except ConvergenceError as exc:
-        f_z, f_z_err, converged = exc.value, exc.error_estimate, False
+    f_z, f_z_err, converged = _cdf_product_meijer(pp, c.nu / c.dest_coef)
     value = 1.0 - f_v * (1.0 - f_z)
     err = f_v * f_z_err + 8.0 * EPS
     return OutageResult(value=min(1.0, max(0.0, value)),
@@ -92,8 +87,9 @@ def outage_af(cfg: SystemConfig,
     density singularity exactly), the upper half in u = 1 - kappa nu v so
     the diverging F_Z argument collapses onto u -> 0, where F_Z clamps to 1
     and the integrand degenerates to the plain loop-back density.  An F_Z
-    call whose kernel quadrature fails contributes its best value and marks
-    the result unconverged.
+    call that does not converge, on any route of its kernel, contributes its
+    best value and marks the result unconverged; its error is not yet part
+    of ``numeric_error``.
     """
     settings = settings or QuadratureSettings()
     pp = _product_params(cfg)
@@ -116,11 +112,10 @@ def outage_af(cfg: SystemConfig,
             return 0.0
         if l1l2 * arg ** (0.5 * alpha) >= clamp_x:
             return 1.0
-        try:
-            return _cdf_product_meijer(pp, arg)[0]
-        except ConvergenceError as exc:
+        value, _, ok = _cdf_product_meijer(pp, arg)
+        if not ok:
             f_z_failed.append(arg)
-            return exc.value
+        return value
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)

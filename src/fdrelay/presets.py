@@ -33,22 +33,18 @@ PRESET_NAMES = tuple(sorted(PRESET_FADING))
 def preset_config(name: str, *,
                   source_power: float = 1.0,
                   target_rate: float = 1.0,
-                  eta: float = 0.5,
-                  theta: float = 1.0,
                   lbi_r_hat: float = 1.0,
-                  alpha: float | None = None,
                   mu: float | None = None) -> SystemConfig:
     """Build the named preset, optionally overriding the swept parameters.
 
-    ``alpha`` and ``mu`` override the fading family on all three branches;
-    ``lbi_r_hat`` scales only the residual loop-back envelope.
+    ``mu`` overrides the fading shape on all three branches; ``lbi_r_hat``
+    scales only the residual loop-back envelope.
     """
     try:
-        base_alpha, base_mu = PRESET_FADING[name]
+        a, base_mu = PRESET_FADING[name]
     except KeyError:
         raise ScenarioError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}") from None
-    a = base_alpha if alpha is None else alpha
     m = base_mu if mu is None else mu
     hop = AlphaMuParams(alpha=a, mu=m, r_hat=1.0)
     lbi = AlphaMuParams(alpha=a, mu=m, r_hat=lbi_r_hat)
@@ -64,7 +60,7 @@ def preset_config(name: str, *,
         noise_antenna_var=5e-5,
         noise_conversion_var=5e-5,
         noise_dest_var=1e-4,
-        eh_efficiency=theta,
-        eh_time_fraction=eta,
+        eh_efficiency=1.0,
+        eh_time_fraction=0.5,
         target_rate=target_rate,
     )

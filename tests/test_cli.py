@@ -15,7 +15,7 @@ from fdrelay.cli import (
     _parse_sweep_flag,
 )
 from fdrelay import specfun
-from fdrelay.errors import ConvergenceError, ScenarioError
+from fdrelay.errors import ScenarioError
 from fdrelay.outage import outage_af, outage_df
 from fdrelay.presets import preset_config
 
@@ -306,9 +306,9 @@ def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
     calls = []
 
     def failing(delta, sigma, x):
-        value, err = real(delta, sigma, x)
+        value, err, _ = real(delta, sigma, x)
         calls.append(x)
-        raise ConvergenceError("forced", value=value, error_estimate=err)
+        return value, err, False
 
     monkeypatch.setattr(specfun, "_g_kernel_quadrature", failing)
     cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 1.5, "r_hat": 1.0},
@@ -322,6 +322,35 @@ def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
     rows = rows_from_csv(out)
     assert [r.mode for r in rows] == ["af", "df"]
     assert all(0.0 < r.outage < 1.0 for r in rows)
+    assert "error: at least one row did not converge" in err.splitlines()
+    assert "Traceback" not in err
+
+
+def test_unconverged_kernel_tail_exits_3_with_rows(tmp_path, monkeypatch, capsys):
+    # shapes 25/25 send large F_Z arguments through the complement, whose
+    # tail falls back to the adaptive integral; make that report failure
+    real = specfun.integrate_to_infinity
+    calls = []
+
+    def failing(*args, **kwargs):
+        value, err, _ = real(*args, **kwargs)
+        calls.append(args[1])
+        return value, err, False
+
+    monkeypatch.setattr(specfun, "integrate_to_infinity", failing)
+    cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
+               hop1_fading={"alpha": 2.0, "mu": 25.0, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": 25.0, "r_hat": 1.0})
+    path = tmp_path / "tail.json"
+    path.write_text(json.dumps({"id": "tail", "config": cfg}))
+    assert not outage_df(load_scenario(str(path)).config).converged
+    code = main(["--config", str(path), "--method", "analytic"])
+    out, err = capsys.readouterr()
+    assert calls
+    assert code == 3
+    rows = rows_from_csv(out)
+    assert [r.mode for r in rows] == ["af", "df"]
+    assert all(0.0 <= r.outage <= 1.0 for r in rows)
     assert "error: at least one row did not converge" in err.splitlines()
     assert "Traceback" not in err
 

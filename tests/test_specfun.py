@@ -267,15 +267,18 @@ def test_kernel_tail_vanishes_past_the_double_range():
 # the kernel of the product CDF, evaluated by _g2131_eval(mu1 - mu2, s, x)
 
 def g2131(mu1, mu2, x):
-    value, _ = _g2131_eval(mu1 - mu2, 0.5 * (mu1 + mu2), x)
+    value, _, ok = _g2131_eval(mu1 - mu2, 0.5 * (mu1 + mu2), x)
+    assert ok
     return value
 
 
 def test_meijer_matches_mpmath():
     # shape gaps 0, 1, 2 and 7 take the log-series, the others the two-branch
-    # series; x = 28 and 120 take the large-argument complement
+    # series; x = 28 and 120 take the large-argument complement.  The gap of
+    # 2.2 - 1.2 is 1 plus one ulp of float noise.
     cases = [(1.3, 0.7), (2.0, 0.5), (8.0, 0.5), (5.5, 3.2),
-             (1.0, 1.0), (2.0, 1.0), (3.5, 1.5), (2.0, 2.0), (8.0, 1.0)]
+             (1.0, 1.0), (2.0, 1.0), (3.5, 1.5), (2.0, 2.0), (8.0, 1.0),
+             (2.2, 1.2)]
     for mu1, mu2 in cases:
         s = 0.5 * (mu1 + mu2)
         h = 0.5 * (mu1 - mu2)
@@ -303,3 +306,14 @@ def test_meijer_near_integer_band_uses_quadrature():
         lambda v: v ** (s - 1.0) * special.kv(d, 2.0 * math.sqrt(v)), 0.0, 0.7,
         limit=300)
     assert g2131(mu1, mu2, 0.7) == pytest.approx(2.0 * 0.7 ** -s * val, rel=1e-8)
+
+
+def test_meijer_float_noise_gap_takes_the_log_series(monkeypatch):
+    # 2.2 - 1.2 = 1.0000000000000002 is an integer gap up to rounding; its
+    # value is checked against mpmath in test_meijer_matches_mpmath
+    def forbidden(*args):
+        raise AssertionError("near-integer kernel quadrature called")
+
+    monkeypatch.setattr(specfun, "_g_kernel_quadrature", forbidden)
+    assert 2.2 - 1.2 != 1.0
+    assert 0.0 < g2131(2.2, 1.2, 0.5) < math.inf
