@@ -19,7 +19,7 @@ from .fading import (
     power_rate,
     sample_envelope,
 )
-from .mcsim import McEstimate, simulate_outage
+from .mcsim import McEstimate, simulate_grid, simulate_outage
 from .outage import OutageResult, outage_af, outage_df, outage_high_snr
 from .presets import PRESET_NAMES, preset_config
 from .quadrature import QuadratureSettings
@@ -35,6 +35,7 @@ __all__ = [
     "outage_af",
     "outage_df",
     "outage_high_snr",
+    "simulate_grid",
     "simulate_outage",
     # distributions
     "AlphaMuParams",

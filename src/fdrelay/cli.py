@@ -21,7 +21,7 @@ import time
 
 from .errors import DomainError, ScenarioError
 from .fading import AlphaMuParams
-from .mcsim import simulate_outage
+from .mcsim import simulate_grid
 from .outage import outage_af, outage_df, outage_high_snr
 from .presets import PRESET_NAMES, preset_config
 from .relaysys import SystemConfig
@@ -229,10 +229,17 @@ def compute_rows(scenario: Scenario, modes, methods, samples: int, seed: int):
     else:
         grid = [(v, apply_sweep_value(scenario.config, sweep.parameter, v))
                 for v in sweep.values()]
+    mc = None
+    if "mc" in methods:
+        t0 = time.perf_counter()
+        mc = simulate_grid([cfg for _, cfg in grid], modes, samples, seed)
+        dt_ms = (time.perf_counter() - t0) * 1e3
+        print(f"timing: {scenario.id} mc grid of {len(grid) * len(modes)} cells: "
+              f"{dt_ms:.1f} ms", file=sys.stderr)
     rows = []
     any_bad = False
-    for value, cfg in grid:
-        for mode in modes:
+    for i, (value, cfg) in enumerate(grid):
+        for k, mode in enumerate(modes):
             for method in methods:
                 t0 = time.perf_counter()
                 if method == "analytic":
@@ -243,13 +250,14 @@ def compute_rows(scenario: Scenario, modes, methods, samples: int, seed: int):
                     res = outage_high_snr(cfg)
                     outage, err, n_s = res.value, res.numeric_error, 0
                 elif method == "mc":
-                    est = simulate_outage(cfg, mode, samples, seed)
+                    est = mc[i][k]
                     outage, err, n_s = est.p_hat, est.stderr, est.n_samples
                 else:
                     raise ScenarioError(f"unknown method {method!r}")
-                dt_ms = (time.perf_counter() - t0) * 1e3
-                print(f"timing: {scenario.id} {value:g} {mode} {method}: {dt_ms:.1f} ms",
-                      file=sys.stderr)
+                if method != "mc":
+                    dt_ms = (time.perf_counter() - t0) * 1e3
+                    print(f"timing: {scenario.id} {value:g} {mode} {method}: {dt_ms:.1f} ms",
+                          file=sys.stderr)
                 rows.append(ResultRow(
                     scenario_id=scenario.id, sweep_value=value, mode=mode,
                     method=method, outage=outage, err=err, n_samples=n_s,

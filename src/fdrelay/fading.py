@@ -55,8 +55,13 @@ class AlphaMuParams:
 
 
 def power_rate(p: AlphaMuParams) -> float:
-    """lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha."""
-    return p.mu / p.r_hat ** p.alpha
+    """lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha.
+
+    inf when r_hat**alpha underflows: the branch power is then 0 in double
+    precision.
+    """
+    scale = p.r_hat ** p.alpha
+    return p.mu / scale if scale > 0.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,11 @@ def cdf_envelope(p: AlphaMuParams, r: float) -> float:
         raise DomainError(f"cdf_envelope requires r >= 0, got {r}")
     if r == 0.0:
         return 0.0
-    return reg_lower_gamma(p.mu, p.mu * (r / p.r_hat) ** p.alpha)
+    try:
+        w = (r / p.r_hat) ** p.alpha
+    except OverflowError:   # past the double range, where the CDF is 1
+        w = math.inf
+    return reg_lower_gamma(p.mu, p.mu * w)
 
 
 def pdf_power(p: AlphaMuParams, x: float) -> float:

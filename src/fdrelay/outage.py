@@ -117,6 +117,13 @@ def outage_af(cfg: SystemConfig,
             f_z_failed.append(arg)
         return value
 
+    if lam3 == math.inf:
+        # the loop-back power is 0 in double precision, so the AF SNR is
+        # b1 Z / b4 and no integral over V remains
+        value = f_z(nu * c.beta4 / c.beta1)
+        return OutageResult(value=value, method=AF_ANALYTIC, numeric_error=8.0 * EPS,
+                            converged=not f_z_failed)
+
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
 

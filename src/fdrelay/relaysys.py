@@ -15,6 +15,7 @@ tests share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,13 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     """Evaluate the scenario constants used throughout the outage formulas."""
     eta = cfg.eh_time_fraction
     kappa = cfg.eh_efficiency * eta / (1.0 - eta)
-    nu = 2.0 ** (cfg.target_rate / (1.0 - eta)) - 1.0
+    x = cfg.target_rate / (1.0 - eta)
+    nu = 2.0 ** x - 1.0 if x < 1024.0 else math.inf
+    if not 0.0 < nu < math.inf:
+        raise DomainError(
+            f"target_rate / (1 - eh_time_fraction) = {x:g} puts the SNR threshold "
+            f"2^x - 1 = {nu:g} outside the double range; x must be below 1024 "
+            f"and above about 1.6e-16")
     path = (cfg.hop1_distance ** cfg.hop1_pathloss
             * cfg.hop2_distance ** cfg.hop2_pathloss)
     beta3 = path * cfg.noise_relay_var

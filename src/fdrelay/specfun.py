@@ -137,6 +137,8 @@ def reg_lower_gamma(s: float, x: float) -> float:
         raise DomainError(f"reg_lower_gamma requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
+    if x == math.inf:
+        return 1.0
     lnpre = -x + s * math.log(x) - ln_gamma(s)
     pre = math.exp(lnpre) if lnpre > -745.0 else 0.0
     if x < s + 1.0:

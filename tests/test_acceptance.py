@@ -24,7 +24,7 @@ from fdrelay.fading import (
     power_rate,
     sample_envelope,
 )
-from fdrelay.mcsim import simulate_outage
+from fdrelay.mcsim import simulate_grid
 from fdrelay.outage import outage_af, outage_df, outage_high_snr
 from fdrelay.presets import PRESET_NAMES, preset_config
 
@@ -121,11 +121,16 @@ def _consistent(ref_value, est, extra=0.0):
     return est.ci_low - extra <= ref_value <= est.ci_high + extra
 
 
+def _grid_estimates(mode):
+    cells = list(_grid_configs())
+    ests = simulate_grid([cell[3] for cell in cells], [mode], MC_SAMPLES, MC_SEED)
+    return [(*cell, row[0]) for cell, row in zip(cells, ests)]
+
+
 def test_criterion_3_df_analytic_vs_mc():
     t0 = time.perf_counter()
-    for name, ps, rate, cfg in _grid_configs():
+    for name, ps, rate, cfg, est in _grid_estimates("df"):
         ref = outage_df(cfg)
-        est = simulate_outage(cfg, "df", MC_SAMPLES, MC_SEED)
         assert _consistent(ref.value, est), (
             f"df {name} P={ps} R={rate}: |{ref.value:.8f} - {est.p_hat:.8f}|"
             f" > 3 x {est.stderr:.2e}")
@@ -136,10 +141,9 @@ def test_criterion_3_df_analytic_vs_mc():
 
 def test_criterion_4_af_analytic_vs_mc():
     t0 = time.perf_counter()
-    for name, ps, rate, cfg in _grid_configs():
+    for name, ps, rate, cfg, est in _grid_estimates("af"):
         ref = outage_af(cfg)
         assert ref.converged
-        est = simulate_outage(cfg, "af", MC_SAMPLES, MC_SEED)
         assert _consistent(ref.value, est, extra=ref.numeric_error), (
             f"af {name} P={ps} R={rate}: |{ref.value:.8f} - {est.p_hat:.8f}|"
             f" > 3 x {est.stderr:.2e}")

@@ -278,6 +278,30 @@ def test_main_error_exit_codes(tmp_path):
     assert main(["--preset", "rayleigh", "--method", "mc", "--samples", "100"]) == 2
 
 
+@pytest.mark.parametrize("rate", ["3000", "1e-300"])
+@pytest.mark.parametrize("method", ["analytic", "mc"])
+def test_threshold_out_of_double_range_exits_2(rate, method, capsys):
+    # nu = 2^(R / (1 - eta)) - 1 overflows at rate 3000 and rounds to 0 at
+    # rate 1e-300: a configuration error naming the bound, not a traceback
+    code = main(["--preset", "rayleigh", "--method", method, "--rate", rate,
+                 "--samples", "10000"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: " in err and "1024" in err
+
+
+def test_tiny_loopback_scale_gives_rows(capsys):
+    # r_hat^2 underflows: the loop-back power is 0 in double precision, its
+    # CDF saturates at 1 and both modes reduce to F_Z at the same argument
+    assert main(["--preset", "rayleigh", "--method", "analytic",
+                 "--lbi-r-hat", "1e-200"]) == 0
+    rows = rows_from_csv(capsys.readouterr().out)
+    assert [r.mode for r in rows] == ["af", "df"]
+    assert rows[0].outage == pytest.approx(rows[1].outage, abs=1e-14)
+    assert 0.0 < rows[1].outage < 1.0
+
+
 def test_mixed_alpha_scenario(tmp_path):
     # the closed forms need equal hop alphas: analytic methods end in a
     # configuration error, while the exact sampler handles any alpha

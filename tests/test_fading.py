@@ -90,6 +90,10 @@ def test_cdf_envelope_examples():
     # Weibull-type reduction with the scaled argument hitting exactly 1
     p = AlphaMuParams(alpha=3.0, mu=1.0, r_hat=2.0)
     assert cdf_envelope(p, 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-13)
+    # (r / r_hat)**alpha overflows or reaches inf: the CDF saturates at 1
+    tiny = AlphaMuParams(alpha=2.0, mu=1.0, r_hat=1e-200)
+    assert cdf_envelope(tiny, 1.0) == 1.0
+    assert cdf_envelope(tiny, 1e200) == 1.0
 
 
 @given(params_strategy, st.data())

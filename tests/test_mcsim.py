@@ -1,9 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 
 from fdrelay.errors import DomainError
-from fdrelay.mcsim import McEstimate, simulate_outage, wilson_interval
+from fdrelay.mcsim import (
+    _BLOCK,
+    McEstimate,
+    _unit_gammas,
+    simulate_grid,
+    simulate_outage,
+    wilson_interval,
+)
 from fdrelay.outage import outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
 
@@ -14,6 +22,8 @@ def test_input_validation():
         simulate_outage(cfg, "df", 5000, 1)
     with pytest.raises(DomainError):
         simulate_outage(cfg, "hd", 10_000, 1)
+    with pytest.raises(DomainError):
+        simulate_outage(cfg, "df", 10_000, -1)
 
 
 def test_wilson_interval_properties():
@@ -56,12 +66,42 @@ def test_sweep_permutation_permutes_results():
     assert fwd == rev[::-1]
 
 
-def test_rate_sweep_monotone_within_ci():
-    rates = [0.5, 1.0, 2.0, 3.0, 4.5]
+def test_grid_cells_equal_single_cell_runs():
+    # n is not a multiple of the block, so the last block is partial
+    n = 100_003
+    grid = [preset_config("nakagami", source_power=ps, target_rate=r)
+            for ps in (1.0, 10.0) for r in (0.5, 1.5, 3.0, 4.5)]
+    ests = simulate_grid(grid, ("df", "af"), n, seed=4)
+    for cfg, row in zip(grid, ests):
+        for mode, est in zip(("df", "af"), row):
+            assert est == simulate_outage(cfg, mode, n, seed=4)
+
+
+def test_partial_block_takes_the_first_draws():
+    shapes = (1.0, 2.5, 0.7)
+    full = _unit_gammas(shapes, 3, 2, _BLOCK)
+    part = _unit_gammas(shapes, 3, 2, 1000)
+    for a, b in zip(full, part):
+        assert np.array_equal(a[:1000], b)
+
+
+def test_rate_sweep_monotone():
+    # cells sharing a shape triple share draws, and gamma_eff does not
+    # depend on the rate, so the estimate is exactly monotone
+    # steps of 1e-3 move the outage by less than its standard error
+    rates = [0.5, 1.0, 1.001, 1.002, 1.003, 2.0, 3.0, 4.5]
     grid = [preset_config("rayleigh", target_rate=r) for r in rates]
-    ests = [simulate_outage(cfg, "df", 100_000, seed=9) for cfg in grid]
-    for a, b in zip(ests, ests[1:]):
-        assert b.p_hat >= a.p_hat - 3.0 * (a.stderr + b.stderr)
+    for mode in ("df", "af"):
+        p = [simulate_outage(cfg, mode, 100_000, seed=9).p_hat for cfg in grid]
+        assert p == sorted(p), (mode, p)
+
+
+def test_power_sweep_monotone():
+    powers = [0.5, 1.0, 2.0, 10.0, 10.2, 10.4, 10.6, 10.8, 100.0]
+    grid = [preset_config("weibull", source_power=ps, target_rate=1.0) for ps in powers]
+    for mode, row in zip(("df", "af"), zip(*simulate_grid(grid, ("df", "af"), 100_000, 9))):
+        p = [est.p_hat for est in row]
+        assert p == sorted(p, reverse=True), (mode, p)
 
 
 def test_df_never_worse_than_af_under_common_randoms():

@@ -91,6 +91,7 @@ def test_reg_lower_gamma_exponential_case(t):
 
 def test_reg_lower_gamma_at_zero():
     assert reg_lower_gamma(3.7, 0.0) == 0.0
+    assert reg_lower_gamma(3.7, math.inf) == 1.0
 
 
 def test_reg_lower_gamma_closed_form_series_crosscheck():
