@@ -22,7 +22,6 @@ from .fading import (
 from .mcsim import McEstimate, simulate_grid, simulate_outage
 from .outage import OutageResult, outage_af, outage_df, outage_high_snr
 from .presets import PRESET_NAMES, preset_config
-from .quadrature import QuadratureSettings
 from .relaysys import DerivedConstants, SystemConfig, derive_constants
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     # engines
     "McEstimate",
     "OutageResult",
-    "QuadratureSettings",
     "outage_af",
     "outage_df",
     "outage_high_snr",

@@ -28,15 +28,10 @@ from .relaysys import SystemConfig
 
 SWEEP_PARAMETERS = ("target_rate", "source_power", "alpha", "mu", "eh_time_fraction")
 
-_FADING_KEYS = {"alpha", "mu", "r_hat"}
-_CONFIG_KEYS = {
-    "source_power", "hop1_distance", "hop2_distance",
-    "hop1_pathloss", "hop2_pathloss",
-    "hop1_fading", "hop2_fading", "lbi_fading",
-    "noise_antenna_var", "noise_conversion_var", "noise_dest_var",
-    "eh_efficiency", "eh_time_fraction", "target_rate", "block_time",
-}
+_FADING_KEYS = {f.name for f in dataclasses.fields(AlphaMuParams)}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(SystemConfig) if f.init}
 _OPTIONAL_CONFIG_KEYS = {"eh_time_fraction", "block_time"}
+_BRANCHES = ("hop1_fading", "hop2_fading", "lbi_fading")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,6 +81,14 @@ class ResultRow:
 CSV_HEADER = "scenario_id,sweep_value,mode,method,outage,err,n_samples,seed,runtime_ms"
 
 
+def _number(value, name: str) -> float:
+    """A scenario number as a float, or a ScenarioError naming its key."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"{name} must be a number, got {value!r}") from None
+
+
 def _fading_from_dict(d, where):
     if not isinstance(d, dict):
         raise ScenarioError(f"{where} must be an object with alpha/mu/r_hat")
@@ -96,8 +99,8 @@ def _fading_from_dict(d, where):
     if missing:
         raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
     try:
-        return AlphaMuParams(alpha=float(d["alpha"]), mu=float(d["mu"]),
-                             r_hat=float(d["r_hat"]))
+        return AlphaMuParams(**{key: _number(value, f"{where}.{key}")
+                                for key, value in d.items()})
     except DomainError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
@@ -114,14 +117,9 @@ def config_from_dict(d) -> SystemConfig:
         raise ScenarioError(f"config: missing keys {sorted(missing)}")
     if "eh_time_fraction" not in d:
         print("warning: eh_time_fraction missing, defaulting to 0.5", file=sys.stderr)
-    kwargs = {}
-    for key in _CONFIG_KEYS:
-        if key in ("hop1_fading", "hop2_fading", "lbi_fading"):
-            kwargs[key] = _fading_from_dict(d[key], key)
-        elif key in d:
-            kwargs[key] = float(d[key])
+    kwargs = {key: _fading_from_dict(value, key) if key in _BRANCHES
+              else _number(value, key) for key, value in d.items()}
     kwargs.setdefault("eh_time_fraction", 0.5)
-    kwargs.setdefault("block_time", 1.0)
     try:
         return SystemConfig(**kwargs)
     except DomainError as exc:
@@ -147,12 +145,14 @@ def load_scenario(path: str) -> Scenario:
     sweep = None
     if raw.get("sweep") is not None:
         s = raw["sweep"]
+        if not isinstance(s, dict):
+            raise ScenarioError(f"{path}: sweep must be an object")
         unknown = set(s) - {"parameter", "start", "stop", "step"}
         if unknown:
             raise ScenarioError(f"{path}: sweep has unknown keys {sorted(unknown)}")
         try:
-            sweep = Sweep(parameter=str(s["parameter"]), start=float(s["start"]),
-                          stop=float(s["stop"]), step=float(s["step"]))
+            sweep = Sweep(parameter=str(s["parameter"]),
+                          **{k: _number(s[k], f"sweep.{k}") for k in ("start", "stop", "step")})
         except KeyError as exc:
             raise ScenarioError(f"{path}: sweep is missing {exc}") from None
         sweep.values()  # validate the range eagerly
@@ -161,26 +161,14 @@ def load_scenario(path: str) -> Scenario:
 
 
 def apply_sweep_value(cfg: SystemConfig, parameter: str, value: float) -> SystemConfig:
-    """One grid point: replace the swept parameter, everything else unchanged."""
-    if parameter == "target_rate":
-        return dataclasses.replace(cfg, target_rate=value)
-    if parameter == "source_power":
-        return dataclasses.replace(cfg, source_power=value)
-    if parameter == "eh_time_fraction":
-        return dataclasses.replace(cfg, eh_time_fraction=value)
-    if parameter == "alpha":
-        return dataclasses.replace(
-            cfg,
-            hop1_fading=dataclasses.replace(cfg.hop1_fading, alpha=value),
-            hop2_fading=dataclasses.replace(cfg.hop2_fading, alpha=value),
-            lbi_fading=dataclasses.replace(cfg.lbi_fading, alpha=value))
-    if parameter == "mu":
-        return dataclasses.replace(
-            cfg,
-            hop1_fading=dataclasses.replace(cfg.hop1_fading, mu=value),
-            hop2_fading=dataclasses.replace(cfg.hop2_fading, mu=value),
-            lbi_fading=dataclasses.replace(cfg.lbi_fading, mu=value))
-    raise ScenarioError(f"unknown sweep parameter {parameter!r}")
+    """One grid point: the swept parameter replaced (alpha and mu on every branch)."""
+    if parameter not in SWEEP_PARAMETERS:
+        raise ScenarioError(f"unknown sweep parameter {parameter!r}")
+    if parameter in ("alpha", "mu"):
+        return dataclasses.replace(cfg, **{
+            key: dataclasses.replace(getattr(cfg, key), **{parameter: value})
+            for key in _BRANCHES})
+    return dataclasses.replace(cfg, **{parameter: value})
 
 
 def _fmt(x: float) -> str:
@@ -266,6 +254,11 @@ def compute_rows(scenario: Scenario, modes, methods, samples: int, seed: int):
     return rows, any_bad
 
 
+# --method flag -> the engines it runs
+_METHODS = {"analytic": ("analytic",), "mc": ("mc",), "high-snr": ("high_snr",),
+            "both": ("analytic", "mc")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fdrelay",
@@ -275,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="scenario JSON file")
     src.add_argument("--preset", choices=PRESET_NAMES, help="built-in scenario")
     p.add_argument("--mode", choices=("df", "af", "both"), default="both")
-    p.add_argument("--method", choices=("analytic", "mc", "high-snr", "both"),
+    p.add_argument("--method", choices=tuple(_METHODS),
                    default="both", help="'both' = analytic + mc")
     p.add_argument("--rate-sweep", metavar="a:b:s", help="sweep target rate")
     p.add_argument("--power-sweep", metavar="a:b:s", help="sweep source power")
@@ -329,15 +322,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = _build_scenario(args)
-        if args.samples < 10_000 and args.method in ("mc", "both"):
+        methods = _METHODS[args.method]
+        if args.samples < 10_000 and "mc" in methods:
             raise ScenarioError("--samples must be at least 10000")
         modes = ("df", "af") if args.mode == "both" else (args.mode,)
-        if args.method == "both":
-            methods = ("analytic", "mc")
-        elif args.method == "high-snr":
-            methods = ("high_snr",)
-        else:
-            methods = (args.method,)
         t0 = time.perf_counter()
         rows, any_bad = compute_rows(scenario, modes, methods, args.samples, args.seed)
         emit(rows, args.format, args.out)

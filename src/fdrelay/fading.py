@@ -19,7 +19,7 @@ Conventions fixed here and enforced by the normalization tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive
@@ -70,12 +70,25 @@ class ProductDistParams:
 
     hop1: AlphaMuParams
     hop2: AlphaMuParams
+    lam12: float = field(init=False)    # lam1 * lam2
+    sigma: float = field(init=False)    # (mu1 + mu2) / 2
+    delta: float = field(init=False)    # |mu1 - mu2|, the Bessel order
+    ln_norm: float = field(init=False)  # ln Gamma(mu1) + ln Gamma(mu2)
 
     def __post_init__(self):
         if self.hop1.alpha != self.hop2.alpha:
             raise DomainError(
                 f"closed-form product requires equal alphas, got "
                 f"{self.hop1.alpha} and {self.hop2.alpha}")
+        m1, m2 = self.hop1.mu, self.hop2.mu
+        object.__setattr__(self, "lam12", power_rate(self.hop1) * power_rate(self.hop2))
+        object.__setattr__(self, "sigma", 0.5 * (m1 + m2))
+        object.__setattr__(self, "delta", abs(m1 - m2))
+        object.__setattr__(self, "ln_norm", ln_gamma(m1) + ln_gamma(m2))
+
+    def kernel_arg(self, z: float) -> float:
+        """x = lam1 lam2 z^{alpha/2}, the argument of the F_Z kernel."""
+        return self.lam12 * z ** (0.5 * self.hop1.alpha)
 
 
 # ----------------------------------------------------------------------
@@ -139,10 +152,6 @@ def sample_envelope(p: AlphaMuParams, rng, size=None):
 # ----------------------------------------------------------------------
 # product of two powers (equal alpha)
 
-def _ln_product_norm(pp: ProductDistParams) -> float:
-    return ln_gamma(pp.hop1.mu) + ln_gamma(pp.hop2.mu)
-
-
 def pdf_product(pp: ProductDistParams, z: float) -> float:
     """Density of Z = h1^2 * h2^2 at z > 0.
 
@@ -152,16 +161,12 @@ def pdf_product(pp: ProductDistParams, z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"pdf_product requires z > 0, got {z}")
     a = pp.hop1.alpha
-    m1, m2 = pp.hop1.mu, pp.hop2.mu
-    l1, l2 = power_rate(pp.hop1), power_rate(pp.hop2)
-    sig = 0.5 * (m1 + m2)
-    arg = 2.0 * math.sqrt(l1 * l2 * z ** (0.5 * a))
-    kval = bessel_k(m1 - m2, arg)
+    kval = bessel_k(pp.delta, 2.0 * math.sqrt(pp.kernel_arg(z)))
     if kval == 0.0:
         return 0.0
-    ln_f = (math.log(a) + sig * math.log(l1 * l2)
-            + (0.5 * a * sig - 1.0) * math.log(z)
-            + math.log(kval) - _ln_product_norm(pp))
+    ln_f = (math.log(a) + pp.sigma * math.log(pp.lam12)
+            + (0.5 * a * pp.sigma - 1.0) * math.log(z)
+            + math.log(kval) - pp.ln_norm)
     return math.exp(ln_f) if ln_f > -745.0 else 0.0
 
 
@@ -197,44 +202,36 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
     ``converged`` is the kernel's flag; an unconverged F_Z still carries its
     best value and error.  The two clamped ends are exact to their error.
     """
-    a = pp.hop1.alpha
-    m1, m2 = pp.hop1.mu, pp.hop2.mu
-    l1, l2 = power_rate(pp.hop1), power_rate(pp.hop2)
-    x = l1 * l2 * z ** (0.5 * a)
+    x = pp.kernel_arg(z)
     if x < 1e-30:
         # F is bounded by ~x^{min mu} |ln x|, far below any tolerance here
         return 0.0, 1e-15, True
-    if x >= product_arg_clamp(m1, m2):
+    if x >= product_arg_clamp(pp.hop1.mu, pp.hop2.mu):
         return 1.0, 1e-14, True
-    sigma = 0.5 * (m1 + m2)
-    norm = math.exp(-_ln_product_norm(pp))
-    xs = x ** sigma
-    gval, gerr, ok = _g2131_eval(m1 - m2, sigma, x)
+    norm = math.exp(-pp.ln_norm)
+    xs = x ** pp.sigma
+    gval, gerr, ok = _g2131_eval(pp.delta, pp.sigma, x)
     value = xs * gval * norm
     err = xs * gerr * norm + 4.0 * EPS * abs(value)
     return min(1.0, max(0.0, value)), err, ok
 
 
-def _cdf_product_quadrature(pp: ProductDistParams, z: float,
-                            settings: QuadratureSettings | None = None):
+def _cdf_product_quadrature(pp: ProductDistParams, z: float):
     """(value, abs error, converged) of F_Z(z) by integrating the density.
 
     Works in t = zeta^{alpha/2}, where the density becomes the plain
     Bessel-kernel integrand; panel seeds follow the kernel argument scale.
+    The independent reference the tests hold ``cdf_product`` against.
     """
-    a = pp.hop1.alpha
-    m1, m2 = pp.hop1.mu, pp.hop2.mu
-    l1, l2 = power_rate(pp.hop1), power_rate(pp.hop2)
-    ll = l1 * l2
-    sigma = 0.5 * (m1 + m2)
-    delta = abs(m1 - m2)
-    norm = 2.0 * ll ** sigma * math.exp(-_ln_product_norm(pp))
+    ll = pp.lam12
+    sigma = pp.sigma
+    norm = 2.0 * ll ** sigma * math.exp(-pp.ln_norm)
     # beyond arg ~ 900 the Bessel factor underflows to exactly zero
-    t_max = min(z ** (0.5 * a), 450.0 ** 2 / ll)
+    t_max = min(z ** (0.5 * pp.hop1.alpha), 450.0 ** 2 / ll)
 
     def f(t):
         arg = 2.0 * math.sqrt(ll * t)
-        kv = bessel_k(delta, arg)
+        kv = bessel_k(pp.delta, arg)
         if kv == 0.0:
             return 0.0
         ln_f = (sigma - 1.0) * math.log(t) + math.log(kv)
@@ -242,27 +239,22 @@ def _cdf_product_quadrature(pp: ProductDistParams, z: float,
 
     # scales where the kernel argument passes interesting magnitudes
     bps = [c / ll for c in (1e-3, 0.0625, 1.0, 25.0, 400.0) if 0.0 < c / ll < t_max]
-    settings = settings or QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
+    settings = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
     val, err, ok = integrate_adaptive(f, 0.0, t_max, settings, breakpoints=bps)
     return min(1.0, max(0.0, norm * val)), norm * err, ok
 
 
-def cdf_product(pp: ProductDistParams, z: float, route: str = "meijer") -> float:
+def cdf_product(pp: ProductDistParams, z: float) -> float:
     """CDF of the product of two squared envelopes, clamped to [0, 1].
 
-    ``route="meijer"`` assembles the closed form from the restricted Meijer
-    kernel; ``route="quadrature"`` integrates ``pdf_product``.  The two are
-    implemented independently and must agree to 1e-7 absolute.  Both return
-    their best value and drop the converged flag of their route.
+    Assembled in closed form from the restricted Meijer kernel; the
+    converged flag of the kernel is dropped.  ``_cdf_product_quadrature``,
+    an adaptive integral of the t-space Bessel kernel that shares no code
+    with this route, must agree with it to 1e-7 absolute.
     """
     if z < 0.0:
         raise DomainError(f"cdf_product requires z >= 0, got {z}")
     if z == 0.0:
         return 0.0
-    if route == "meijer":
-        value, _, _ = _cdf_product_meijer(pp, z)
-        return value
-    if route == "quadrature":
-        value, _, _ = _cdf_product_quadrature(pp, z)
-        return value
-    raise ValueError(f"unknown route {route!r}")
+    value, _, _ = _cdf_product_meijer(pp, z)
+    return value

@@ -54,8 +54,9 @@ class McEstimate:
     seed: int
 
 
-def wilson_interval(p_hat: float, n: int, z: float = _Z975):
-    """Wilson score interval; always contains p_hat, stable for small p."""
+def wilson_interval(p_hat: float, n: int):
+    """95% Wilson score interval; always contains p_hat, stable for small p."""
+    z = _Z975
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom

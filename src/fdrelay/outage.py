@@ -27,7 +27,6 @@ from .fading import (
     cdf_power,
     pdf_power,
     power_rate,
-    product_arg_clamp,
     _cdf_product_meijer,
 )
 from .quadrature import QuadratureSettings, integrate_adaptive
@@ -55,18 +54,14 @@ class OutageResult:
             raise DomainError("numeric_error must be nonnegative")
 
 
-def _product_params(cfg: SystemConfig) -> ProductDistParams:
-    return ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
-
-
 def outage_df(cfg: SystemConfig) -> OutageResult:
     """Decode-and-forward outage probability, closed form.
 
     If F_Z does not converge, the result carries its best value and error
     estimate with ``converged=False``.
     """
-    pp = _product_params(cfg)
     c = derive_constants(cfg)
+    pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     v_star = 1.0 / (c.kappa * c.nu)
     f_v = cdf_power(cfg.lbi_fading, v_star)
     f_z, f_z_err, converged = _cdf_product_meijer(pp, c.nu / c.dest_coef)
@@ -76,8 +71,7 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
                         method=DF_ANALYTIC, numeric_error=err, converged=converged)
 
 
-def outage_af(cfg: SystemConfig,
-              settings: QuadratureSettings | None = None) -> OutageResult:
+def outage_af(cfg: SystemConfig) -> OutageResult:
     """Amplify-and-forward outage probability.
 
     P = [1 - F_V(v*)] + Int_0^{v*} F_Z(nu (b3 v + b4) / (b1 - b2 nu v)) f_V(v) dv
@@ -91,9 +85,9 @@ def outage_af(cfg: SystemConfig,
     best value and marks the result unconverged; its error is not yet part
     of ``numeric_error``.
     """
-    settings = settings or QuadratureSettings()
-    pp = _product_params(cfg)
+    settings = QuadratureSettings()
     c = derive_constants(cfg)
+    pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     nu = c.nu
     v_star = 1.0 / (c.kappa * nu)
     lbi = cfg.lbi_fading
@@ -102,16 +96,9 @@ def outage_af(cfg: SystemConfig,
     mu3 = lbi.mu
     inv_gamma3 = math.exp(-ln_gamma(mu3))
 
-    l1l2 = power_rate(cfg.hop1_fading) * power_rate(cfg.hop2_fading)
-    alpha = cfg.hop1_fading.alpha
-    clamp_x = product_arg_clamp(cfg.hop1_fading.mu, cfg.hop2_fading.mu)
     f_z_failed = []
 
     def f_z(arg):
-        if arg <= 0.0:
-            return 0.0
-        if l1l2 * arg ** (0.5 * alpha) >= clamp_x:
-            return 1.0
         value, _, ok = _cdf_product_meijer(pp, arg)
         if not ok:
             f_z_failed.append(arg)

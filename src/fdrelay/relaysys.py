@@ -97,8 +97,15 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
             f"target_rate / (1 - eh_time_fraction) = {x:g} puts the SNR threshold "
             f"2^x - 1 = {nu:g} outside the double range; x must be below 1024 "
             f"and above about 1.6e-16")
-    path = (cfg.hop1_distance ** cfg.hop1_pathloss
-            * cfg.hop2_distance ** cfg.hop2_pathloss)
+    try:
+        path = (cfg.hop1_distance ** cfg.hop1_pathloss
+                * cfg.hop2_distance ** cfg.hop2_pathloss)
+    except OverflowError:
+        path = math.inf
+    if not 0.0 < path < math.inf:
+        raise DomainError(
+            f"path-loss product d1^m1 d2^m2 = {path:g} must be finite and above 0 "
+            f"in double precision")
     beta3 = path * cfg.noise_relay_var
     return DerivedConstants(
         kappa=kappa,

@@ -496,7 +496,7 @@ def _kernel_tail(delta: float, sigma: float, x0: float):
     def f(t):
         if t > 800.0:
             return 0.0
-        return t ** p * math.exp(-t) * _bessel_k_scaled(delta, t)
+        return math.exp(p * math.log(t) - t) * _bessel_k_scaled(delta, t)
 
     settings = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400)
     val, err, ok = integrate_to_infinity(f, t0, settings,

@@ -16,6 +16,7 @@ from fdrelay.cli import (
 )
 from fdrelay import specfun
 from fdrelay.errors import ScenarioError
+from fdrelay.mcsim import simulate_outage
 from fdrelay.outage import outage_af, outage_df
 from fdrelay.presets import preset_config
 
@@ -300,6 +301,64 @@ def test_tiny_loopback_scale_gives_rows(capsys):
     assert [r.mode for r in rows] == ["af", "df"]
     assert rows[0].outage == pytest.approx(rows[1].outage, abs=1e-14)
     assert 0.0 < rows[1].outage < 1.0
+
+
+def _scenario_main(tmp_path, scenario, *args):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(scenario))
+    return main(["--config", str(path), *args])
+
+
+def _assert_config_error(code, capsys, *needles):
+    # exit 2, one "error:" line on stderr naming the culprit, nothing on stdout
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    for needle in needles:
+        assert needle in lines[0]
+
+
+_SWEEP = {"parameter": "target_rate", "start": 1.0, "stop": 2.0, "step": 1.0}
+_HOP_NULL_ALPHA = dict(GOOD_CONFIG["hop1_fading"], alpha=None)
+
+
+@pytest.mark.parametrize("scenario, needle", [
+    ({"id": "s", "config": dict(GOOD_CONFIG, source_power="ten")}, "source_power"),
+    ({"id": "s", "config": GOOD_CONFIG, "sweep": dict(_SWEEP, start="a")}, "sweep.start"),
+    ({"id": "s", "config": GOOD_CONFIG, "sweep": 5}, "sweep"),
+    ({"id": "s", "config": dict(GOOD_CONFIG, hop1_fading=_HOP_NULL_ALPHA)},
+     "hop1_fading.alpha"),
+], ids=["power-string", "sweep-start-string", "sweep-not-object", "hop-alpha-null"])
+def test_malformed_scenario_value_exits_2(tmp_path, capsys, scenario, needle):
+    code = _scenario_main(tmp_path, scenario, "--method", "analytic")
+    _assert_config_error(code, capsys, needle)
+
+
+@pytest.mark.parametrize("distance", [1e200, 1e-200])
+@pytest.mark.parametrize("method", ["analytic", "mc"])
+def test_path_loss_product_out_of_range_exits_2(tmp_path, capsys, distance, method):
+    # d1^m1 d2^m2 overflows at 1e200 and underflows to 0 at 1e-200
+    scenario = {"id": "s", "config": dict(GOOD_CONFIG, hop1_distance=distance)}
+    code = _scenario_main(tmp_path, scenario, "--method", method, "--samples", "10000")
+    _assert_config_error(code, capsys, "path-loss product", "finite and above 0")
+
+
+def test_large_hop_shapes_match_monte_carlo(tmp_path, capsys):
+    # hop shapes 60/60 send the clamp search through the adaptive kernel
+    # tail, whose integrand t^{2 sigma - 1} must not overflow on its own
+    cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
+               hop1_fading={"alpha": 2.0, "mu": 60.0, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": 60.0, "r_hat": 1.0})
+    code = _scenario_main(tmp_path, {"id": "mu60", "config": cfg}, "--method", "analytic")
+    assert code == 0
+    rows = {r.mode: r for r in rows_from_csv(capsys.readouterr().out)}
+    assert rows["df"].outage <= rows["af"].outage
+    config = load_scenario(str(tmp_path / "s.json")).config
+    for mode, row in rows.items():
+        est = simulate_outage(config, mode, 1_000_000, 60)
+        assert abs(row.outage - est.p_hat) <= 4.0 * est.stderr, (mode, row.outage, est)
 
 
 def test_mixed_alpha_scenario(tmp_path):

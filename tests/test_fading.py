@@ -20,6 +20,7 @@ from fdrelay.fading import (
     pdf_product,
     power_rate,
     sample_envelope,
+    _cdf_product_quadrature,
 )
 
 RAYLEIGH = AlphaMuParams(alpha=2.0, mu=1.0, r_hat=1.0)
@@ -182,8 +183,8 @@ def test_cdf_product_double_rayleigh_closed_form():
     pp = _pp(2.0, 1.0, 1.0)
     for z in (1e-4, 0.3, 1.0, 6.0):
         closed = 1.0 - 2.0 * math.sqrt(z) * special.kv(1, 2.0 * math.sqrt(z))
-        assert cdf_product(pp, z, route="meijer") == pytest.approx(closed, abs=1e-9)
-        assert cdf_product(pp, z, route="quadrature") == pytest.approx(closed, abs=1e-8)
+        assert cdf_product(pp, z) == pytest.approx(closed, abs=1e-9)
+        assert _cdf_product_quadrature(pp, z)[0] == pytest.approx(closed, abs=1e-8)
 
 
 def test_cdf_product_limits_and_errors():
@@ -192,8 +193,6 @@ def test_cdf_product_limits_and_errors():
     assert cdf_product(pp, 1e9) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         cdf_product(pp, -1.0)
-    with pytest.raises(ValueError):
-        cdf_product(pp, 1.0, route="nope")
 
 
 def test_cdf_product_dual_route_spot_grid():
@@ -202,8 +201,8 @@ def test_cdf_product_dual_route_spot_grid():
         for alpha in (1.0, 2.0, 3.0):
             pp = _pp(alpha, mu1, mu2)
             for z in np.logspace(-4, 2, 9):
-                a = cdf_product(pp, float(z), route="meijer")
-                b = cdf_product(pp, float(z), route="quadrature")
+                a = cdf_product(pp, float(z))
+                b = _cdf_product_quadrature(pp, float(z))[0]
                 assert abs(a - b) <= 1e-7, (mu1, mu2, alpha, z)
 
 

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy import integrate, special
 
-from fdrelay import specfun
+from fdrelay import outage, specfun
 from fdrelay.errors import DomainError
 from fdrelay.fading import ProductDistParams, cdf_product, pdf_power, cdf_power
 from fdrelay.outage import OutageResult, outage_af, outage_df, outage_high_snr
@@ -78,10 +78,11 @@ def test_outage_af_endpoint_neighborhood_mass():
     assert val == pytest.approx(mass, abs=1e-9)
 
 
-def test_outage_af_convergence_flag_propagates():
+def test_outage_af_convergence_flag_propagates(monkeypatch):
     cfg = preset_config("nakagami", target_rate=2.0)
     starved = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-15, max_subdivisions=10)
-    res = outage_af(cfg, settings=starved)
+    monkeypatch.setattr(outage, "QuadratureSettings", lambda: starved)
+    res = outage_af(cfg)
     assert not res.converged
     assert 0.0 <= res.value <= 1.0
 
@@ -144,3 +145,41 @@ def test_degenerate_loopback_leaves_product_term():
     path = 625.0
     z_th = c.nu * path * cfg.noise_dest_var / (c.kappa * cfg.source_power)
     assert outage_df(cfg).value == pytest.approx(cdf_product(pp, z_th), abs=1e-9)
+
+
+# analytic (df, af) outage of every preset at 1 and 10 W and four rates; a
+# refactor of the engines must reproduce them to 1e-12
+GOLDEN = {
+    ('nakagami', 1.0, 0.5): (0.42804525608477195, 0.5726872843515267),
+    ('nakagami', 1.0, 2.0): (0.9970531715231212, 0.9993288934686876),
+    ('nakagami', 1.0, 4.0): (0.9999999986803645, 0.9999999999672455),
+    ('nakagami', 1.0, 6.0): (1.0, 0.9999999999999999),
+    ('nakagami', 10.0, 0.5): (0.40658425723795877, 0.43041373352743173),
+    ('nakagami', 10.0, 2.0): (0.9923909500638919, 0.9949255334855139),
+    ('nakagami', 10.0, 4.0): (0.9999942756710277, 0.9999990761159329),
+    ('nakagami', 10.0, 6.0): (0.9999999999998739, 0.9999999999999979),
+    ('rayleigh', 1.0, 0.5): (0.4764647567784567, 0.5928962569506016),
+    ('rayleigh', 1.0, 2.0): (0.9810044621526376, 0.990788525735148),
+    ('rayleigh', 1.0, 4.0): (0.9999950629604915, 0.9999990437363075),
+    ('rayleigh', 1.0, 6.0): (1.0, 1.0),
+    ('rayleigh', 10.0, 0.5): (0.38739944623482314, 0.4286523535484657),
+    ('rayleigh', 10.0, 2.0): (0.9499579581393099, 0.9621282434209414),
+    ('rayleigh', 10.0, 4.0): (0.9992920272617015, 0.9996989959075046),
+    ('rayleigh', 10.0, 6.0): (0.9999999593136498, 0.9999999934759166),
+    ('weibull', 1.0, 0.5): (0.4078569617728558, 0.5682831133945403),
+    ('weibull', 1.0, 2.0): (0.9948458927078959, 0.9986616285826051),
+    ('weibull', 1.0, 4.0): (0.9999999998516869, 0.9999999999961218),
+    ('weibull', 1.0, 6.0): (1.0, 1.0),
+    ('weibull', 10.0, 0.5): (0.3702096259772041, 0.40239197738771215),
+    ('weibull', 10.0, 2.0): (0.9846324098137853, 0.9893941950282018),
+    ('weibull', 10.0, 4.0): (0.9999659537444565, 0.9999935211314718),
+    ('weibull', 10.0, 6.0): (0.999999999999997, 1.0),
+}
+
+
+@pytest.mark.parametrize("name, power, rate", sorted(GOLDEN))
+def test_preset_outage_golden_values(name, power, rate):
+    cfg = preset_config(name, source_power=power, target_rate=rate)
+    df, af = GOLDEN[(name, power, rate)]
+    assert outage_df(cfg).value == pytest.approx(df, rel=1e-12)
+    assert outage_af(cfg).value == pytest.approx(af, rel=1e-12)
