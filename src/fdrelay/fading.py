@@ -57,10 +57,13 @@ class AlphaMuParams:
 def power_rate(p: AlphaMuParams) -> float:
     """lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha.
 
-    inf when r_hat**alpha underflows: the branch power is then 0 in double
-    precision.
+    inf when r_hat**alpha underflows and 0 when it overflows: the branch
+    power is then 0 or inf in double precision.
     """
-    scale = p.r_hat ** p.alpha
+    try:
+        scale = p.r_hat ** p.alpha
+    except OverflowError:
+        return 0.0
     return p.mu / scale if scale > 0.0 else math.inf
 
 

@@ -104,6 +104,10 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
             f_z_failed.append(arg)
         return value
 
+    if lam3 == 0.0:
+        # the loop-back power is inf in double precision, so the relay
+        # SNR 1/(kappa V) is 0 and every block is in outage
+        return OutageResult(value=1.0, method=AF_ANALYTIC, numeric_error=8.0 * EPS)
     if lam3 == math.inf:
         # the loop-back power is 0 in double precision, so the AF SNR is
         # b1 Z / b4 and no integral over V remains
@@ -135,7 +139,10 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
 
     def upper_integrand(u):
         v = (1.0 - u) * v_star
-        arg = nu * (c.beta3 * v + c.beta4) / (c.beta1 * u)
+        # b1 u underflows to 0 at subnormal source powers; the argument is
+        # then past every clamp and F_Z is 1
+        den = c.beta1 * u
+        arg = nu * (c.beta3 * v + c.beta4) / den if den > 0.0 else math.inf
         return f_z(arg) * pdf_power(lbi, v) * scale_u
 
     bps_up = [1e-10, 1e-7, 1e-4, 1e-2, 0.1]

@@ -15,8 +15,10 @@ cross-check in the test suite:
                        variates.  Evaluated by its ascending residue series
                        (two hypergeometric-type branches), by the confluent
                        logarithmic series when the branch exponents collide,
-                       and by a Bessel-kernel tail integral for large
-                       argument, which a fixed Gauss-Laguerre rule sums.
+                       by interpolation in the gap across both series when
+                       they nearly collide, and by a Bessel-kernel tail
+                       integral for large argument, which a fixed
+                       Gauss-Laguerre rule sums.
 
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
@@ -328,11 +330,12 @@ def bessel_k(nu: float, x: float) -> float:
 #
 #     G(x) = 2 x^{-s} Integral_0^x v^{s-1} K_delta(2 sqrt(v)) dv,
 #
-# which the quadrature fallback and the large-argument complement use
-# directly.
+# which the large-argument complement and the tests' reference quadrature
+# use directly.
 
 _X_SERIES_MAX = 12.0   # beyond this the ascending series cancel too hard
 _NEAR_INTEGER = 1e-4   # branch-collision guard for the two-series form
+_INTERP_STEP = 1e-2    # node spacing in the gap for the near-integer band
 
 
 def _g_series_noninteger(delta: float, sigma: float, x: float):
@@ -515,24 +518,80 @@ def _g_complement(delta: float, sigma: float, x: float):
 
 
 def _g_kernel_quadrature(delta: float, sigma: float, x: float):
-    """Direct kernel integral for the near-integer branch-collision band."""
-    def f(v):
-        return v ** (sigma - 1.0) * bessel_k(delta, 2.0 * math.sqrt(v))
+    """Direct kernel integral, (value, abs error, converged).
 
-    # seed panels around the Bessel argument scale so tiny-x mass is not lost
-    bps = [b for b in (x * 1e-6, x * 1e-3, x * 0.03, x * 0.3) if 0.0 < b < x]
+    The independent kernel-integral reference for the near-integer band,
+    which ``_g2131_eval`` serves by ``_g_near_integer``.  In v = x e^{-s}
+    the kernel identity reads
+
+        G(x) = 2 Int_0^inf e^{-sigma s} K_delta(2 sqrt(x) e^{-s/2}) ds,
+
+    free of the log singularity of K_0 at v = 0 and of x^{-sigma}.  The
+    integrand decays as e^{-(sigma - delta/2) s}, so it is cut where that
+    factor is e^{-50}.
+    """
+    r = 2.0 * math.sqrt(x)
+
+    def f(s):
+        return math.exp(-sigma * s) * bessel_k(delta, r * math.exp(-0.5 * s))
+
+    s_max = 50.0 / (sigma - 0.5 * delta)
+    bps = [s_max * b for b in (0.01, 0.05, 0.2)]
     settings = QuadratureSettings(abs_tol=1e-300, rel_tol=5e-12, max_subdivisions=1500)
-    val, err, ok = integrate_adaptive(f, 0.0, x, settings, breakpoints=bps)
-    xs = x ** (-sigma)
-    value = 2.0 * xs * val
-    aerr = 2.0 * xs * err + 8.0 * EPS * abs(value)
-    return value, aerr, ok
+    val, err, ok = integrate_adaptive(f, 0.0, s_max, settings, breakpoints=bps)
+    value = 2.0 * val
+    return value, 2.0 * err + 8.0 * EPS * abs(value), ok
+
+
+def _lagrange(nodes, values, t: float):
+    """(interpolant, Lebesgue constant) at t of the polynomial through the nodes."""
+    total = 0.0
+    lebesgue = 0.0
+    for i, ti in enumerate(nodes):
+        w = 1.0
+        for j, tj in enumerate(nodes):
+            if j != i:
+                w *= (t - tj) / (ti - tj)
+        total += w * values[i]
+        lebesgue += abs(w)
+    return total, lebesgue
+
+
+def _g_near_integer(delta: float, sigma: float, x: float):
+    """G for a gap 0 < |delta - d| < _NEAR_INTEGER off the integer d, x <= 12.
+
+    G is analytic and even in delta, so its value at delta is interpolated
+    from the log-series at d and the two-branch series at d + k h,
+    k = +-1 .. +-3, where the branch cancellation costs only about 1/h in
+    relative accuracy.  For d = 0 the interpolation runs in delta^2 on the
+    nodes 0, h, ..., 6h.  The error is the distance between the 7-node and
+    the inner 5-node interpolant plus the largest node error times the
+    Lebesgue constant at delta.  The interpolation error grows with |ln x|
+    through x^{+-delta/2}: about 1e-10 relative at x = 1e-10 and 2e-8 at
+    x = 1e-25 for gaps up to 6 and shapes from 0.5.
+    """
+    d = int(round(delta))
+    h = _INTERP_STEP
+    ks = range(7) if d == 0 else range(-3, 4)
+    evals = [_g_series_integer(d, sigma, x) if k == 0
+             else _g_series_noninteger(d + k * h, sigma, x) for k in ks]
+    values = [e[0] for e in evals]
+    if d == 0:
+        nodes, t, inner = [(k * h) ** 2 for k in ks], delta * delta, slice(0, 5)
+    else:
+        nodes, t, inner = [d + k * h for k in ks], delta, slice(1, 6)
+    p7, lebesgue = _lagrange(nodes, values, t)
+    p5, _ = _lagrange(nodes[inner], values[inner], t)
+    err = abs(p7 - p5) + lebesgue * max(e[1] for e in evals)
+    return p7, err, all(e[2] for e in evals)
 
 
 def _g2131_eval(delta: float, sigma: float, x: float):
     """Route the restricted G; every route returns (value, abs error, converged).
 
-    A gap within a few ulps of an integer (2.2 - 1.2) takes the log-series.
+    A gap within a few ulps of an integer (2.2 - 1.2) takes the log-series,
+    and a gap from there to _NEAR_INTEGER off an integer is interpolated
+    across the gap.
     """
     delta = abs(delta)
     if x > _X_SERIES_MAX:
@@ -542,7 +601,7 @@ def _g2131_eval(delta: float, sigma: float, x: float):
     if dist <= 2.0 * EPS * (sigma + delta):
         result = _g_series_integer(int(d_int), sigma, x)
     elif dist < _NEAR_INTEGER:
-        return _g_kernel_quadrature(delta, sigma, x)
+        result = _g_near_integer(delta, sigma, x)
     else:
         result = _g_series_noninteger(delta, sigma, x)
     value, err, _ = result

@@ -303,6 +303,30 @@ def test_tiny_loopback_scale_gives_rows(capsys):
     assert 0.0 < rows[1].outage < 1.0
 
 
+def test_huge_loopback_scale_is_outage(capsys):
+    # r_hat^2 overflows: the loop-back power is inf in double precision, the
+    # relay SNR 1/(kappa V) is 0, and both modes are in outage
+    assert main(["--preset", "rayleigh", "--method", "analytic",
+                 "--lbi-r-hat", "1e200"]) == 0
+    rows = rows_from_csv(capsys.readouterr().out)
+    assert [r.mode for r in rows] == ["af", "df"]
+    assert [r.outage for r in rows] == [1.0, 1.0]
+
+
+def test_subnormal_source_power_gives_rows(capsys):
+    # b1 u underflows to 0 in the AF upper integrand, where F_Z then clamps
+    # to 1; at this power both modes are in outage almost surely, as MC finds
+    assert main(["--preset", "rayleigh", "--method", "both", "--samples", "10000",
+                 "--power", "1e-320"]) == 0
+    rows = rows_from_csv(capsys.readouterr().out)
+    analytic = {r.mode: r for r in rows if r.method == "analytic"}
+    mc = {r.mode: r for r in rows if r.method == "mc"}
+    assert analytic["af"].outage >= analytic["df"].outage - analytic["df"].err
+    for mode in ("af", "df"):
+        assert analytic[mode].outage == pytest.approx(1.0, abs=1e-12)
+        assert mc[mode].outage == 1.0
+
+
 def _scenario_main(tmp_path, scenario, *args):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -383,9 +407,9 @@ def test_mixed_alpha_scenario(tmp_path):
 
 
 def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
-    # shapes 1.5 and 2.50005 put F_Z in the near-integer kernel-quadrature
-    # band; make that quadrature report non-convergence with its best value
-    real = specfun._g_kernel_quadrature
+    # shapes 1.5 and 2.50005 put F_Z in the near-integer band; make its
+    # interpolation route report non-convergence with its best value
+    real = specfun._g_near_integer
     calls = []
 
     def failing(delta, sigma, x):
@@ -393,7 +417,7 @@ def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
         calls.append(x)
         return value, err, False
 
-    monkeypatch.setattr(specfun, "_g_kernel_quadrature", failing)
+    monkeypatch.setattr(specfun, "_g_near_integer", failing)
     cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 1.5, "r_hat": 1.0},
                hop2_fading={"alpha": 2.0, "mu": 2.50005, "r_hat": 1.0})
     path = tmp_path / "near.json"

@@ -20,6 +20,7 @@ from fdrelay.fading import (
     pdf_product,
     power_rate,
     sample_envelope,
+    _cdf_product_meijer,
     _cdf_product_quadrature,
 )
 
@@ -48,6 +49,8 @@ def test_params_validation():
 def test_power_lambda():
     p = AlphaMuParams(alpha=3.0, mu=2.0, r_hat=2.0)
     assert power_rate(p) == pytest.approx(2.0 / 8.0)
+    # r_hat^alpha past the double range: the branch power is inf
+    assert power_rate(AlphaMuParams(alpha=2.0, mu=1.0, r_hat=1e200)) == 0.0
 
 
 def test_product_params_alpha_mismatch():
@@ -193,6 +196,15 @@ def test_cdf_product_limits_and_errors():
     assert cdf_product(pp, 1e9) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(DomainError):
         cdf_product(pp, -1.0)
+
+
+def test_cdf_product_tiny_argument_with_large_shapes():
+    # near-integer gap 1.00005 at kernel argument ~2e-23, where x^-sigma
+    # with sigma = 15.5 overflows: the series route never forms it
+    pp = _pp(2.0, 15.0, 16.00005)
+    value, err, ok = _cdf_product_meijer(pp, 1e-25)
+    assert ok
+    assert 0.0 <= value <= 1.0 and math.isfinite(err)
 
 
 def test_cdf_product_dual_route_spot_grid():

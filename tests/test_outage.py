@@ -88,20 +88,20 @@ def test_outage_af_convergence_flag_propagates(monkeypatch):
 
 
 def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
-    # shapes 1.5 and 2.50005 put F_Z in the near-integer kernel-quadrature
-    # band; when that quadrature reports failure with its best kernel value,
-    # the engines return the same outage and error, flagged unconverged
+    # shapes 1.5 and 2.50005 put F_Z in the near-integer band; when its
+    # interpolation route reports failure with its best kernel value, the
+    # engines return the same outage and error, flagged unconverged
     hop = dataclasses.replace(preset_config("rayleigh").hop1_fading, mu=1.5)
     cfg = dataclasses.replace(preset_config("rayleigh", target_rate=1.0), hop1_fading=hop,
                               hop2_fading=dataclasses.replace(hop, mu=2.50005))
     good = outage_df(cfg), outage_af(cfg)
-    real = specfun._g_kernel_quadrature
+    real = specfun._g_near_integer
 
     def failing(delta, sigma, x):
         value, err, _ = real(delta, sigma, x)
         return value, err, False
 
-    monkeypatch.setattr(specfun, "_g_kernel_quadrature", failing)
+    monkeypatch.setattr(specfun, "_g_near_integer", failing)
     for ref, res in zip(good, (outage_df(cfg), outage_af(cfg))):
         assert ref.converged and not res.converged
         assert res.value == ref.value

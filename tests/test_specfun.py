@@ -9,7 +9,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -313,8 +313,75 @@ def test_meijer_float_noise_gap_takes_the_log_series(monkeypatch):
     # 2.2 - 1.2 = 1.0000000000000002 is an integer gap up to rounding; its
     # value is checked against mpmath in test_meijer_matches_mpmath
     def forbidden(*args):
-        raise AssertionError("near-integer kernel quadrature called")
+        raise AssertionError("near-integer route called")
 
-    monkeypatch.setattr(specfun, "_g_kernel_quadrature", forbidden)
+    monkeypatch.setattr(specfun, "_g_near_integer", forbidden)
     assert 2.2 - 1.2 != 1.0
     assert 0.0 < g2131(2.2, 1.2, 0.5) < math.inf
+
+
+# ----------------------------------------------------------------------
+# near-integer gaps: interpolation across the gap
+#
+# a gap delta with 0 < |delta - d| < 1e-4 for an integer d; sigma is
+# min(mu) + delta/2, so G's pole at delta = 2 sigma lies 2 min(mu) away
+
+def meijer_reference(delta, sigma, x):
+    with mpmath.workdps(40):
+        s = mpmath.mpf(sigma)
+        h = mpmath.mpf(delta) / 2
+        return float(mpmath.meijerg([[1 - s], []], [[h, -h], [-s]], mpmath.mpf(x)))
+
+
+def test_near_integer_gap_matches_mpmath():
+    # the interpolation error grows with |ln x| through x^(+-delta/2), to
+    # about 2e-8 relative at x = 1e-25, where only the estimate is checked
+    deltas = sorted({abs(d + sign * off) for d in (0, 1, 2, 3, 6)
+                     for off in (3e-6, 2e-5, 9.9e-5) for sign in (-1, 1)})
+    for delta in deltas:
+        for mu_min in (0.5, 1.7, 4.5, 8.0):
+            sigma = mu_min + delta / 2.0
+            for x in (1e-25, 1e-20, 1e-10, 1e-3, 0.5, 3.0, 5.9):
+                value, err, ok = _g2131_eval(delta, sigma, x)
+                ref = meijer_reference(delta, sigma, x)
+                cell = (delta, mu_min, x)
+                assert ok, cell
+                assert abs(value - ref) <= err, cell
+                if x >= 1e-10:
+                    assert abs(value - ref) <= 1e-10 * abs(ref), cell
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.integers(min_value=0, max_value=6),
+       st.floats(min_value=3e-6, max_value=9.9e-5),
+       st.sampled_from((-1.0, 1.0)),
+       st.floats(min_value=0.5, max_value=8.0),
+       st.floats(min_value=-6.0, max_value=math.log10(5.9)))
+def test_near_integer_route_agrees_with_kernel_quadrature(d, off, sign, mu_min, log_x):
+    delta = abs(d + sign * off)
+    sigma = mu_min + delta / 2.0
+    x = 10.0 ** log_x
+    value, err, ok = _g2131_eval(delta, sigma, x)
+    ref, ref_err, ref_ok = specfun._g_kernel_quadrature(delta, sigma, x)
+    assert ok and ref_ok
+    assert abs(value - ref) <= err + ref_err
+
+
+def test_near_integer_band_never_integrates_the_kernel(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("kernel quadrature called")
+
+    monkeypatch.setattr(specfun, "_g_kernel_quadrature", forbidden)
+    for d in range(7):
+        for mu_min in (0.5, 3.0, 8.0):
+            sigma = mu_min + d / 2.0
+            # from just past the float-noise bound 2 eps (sigma + delta) to
+            # just below 1e-4, on both sides of d
+            lo = 4.0 * specfun.EPS * (sigma + d + 1.0)
+            for off in np.geomspace(lo, 0.999e-4, 12):
+                for delta in (d + off, d - off):
+                    if delta <= 0.0:
+                        continue
+                    for x in (1e-20, 0.5, 5.9, 6.0, 11.9, 30.0):
+                        value, _, ok = _g2131_eval(delta, sigma, x)
+                        assert ok and math.isfinite(value) and value > 0.0
