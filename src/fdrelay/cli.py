@@ -8,7 +8,10 @@ Output is deterministic byte-for-byte for fixed flags and seed: rows are
 sorted, floats carry 17 significant digits, and the runtime_ms column is
 emitted as 0 (wall-clock timings go to stderr, where nondeterminism
 belongs).  Exit codes: 0 success, 2 configuration error, 3 numeric
-non-convergence in at least one row (rows are still emitted).
+non-convergence in at least one row (rows are still emitted).  A sweep of
+more than MAX_SWEEP_POINTS points is a configuration error; a product-CDF
+kernel term past the double range is non-convergence.  Each input is
+checked once, where it is built, before any engine runs.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import operator
 import sys
 import time
 
@@ -27,10 +32,10 @@ from .presets import PRESET_NAMES, preset_config
 from .relaysys import SystemConfig
 
 SWEEP_PARAMETERS = ("target_rate", "source_power", "alpha", "mu", "eh_time_fraction")
+MAX_SWEEP_POINTS = 10_000
 
 _FADING_KEYS = {f.name for f in dataclasses.fields(AlphaMuParams)}
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SystemConfig) if f.init}
-_OPTIONAL_CONFIG_KEYS = {"eh_time_fraction", "block_time"}
 _BRANCHES = ("hop1_fading", "hop2_fading", "lbi_fading")
 
 
@@ -41,11 +46,20 @@ class Sweep:
     stop: float
     step: float
 
-    def values(self):
+    def __post_init__(self):
         if self.parameter not in SWEEP_PARAMETERS:
             raise ScenarioError(f"unknown sweep parameter {self.parameter!r}")
-        if self.step <= 0.0 or self.stop < self.start:
+        # written so that NaN fails it
+        if not (self.step > 0.0 and self.stop >= self.start):
             raise ScenarioError("sweep requires step > 0 and stop >= start")
+        # values() runs to half a step past stop; where step is below the
+        # spacing of doubles at the endpoints, start + i*step repeats until
+        # i*step passes that spacing, so the spacing counts as span
+        span = self.stop - self.start + math.ulp(max(abs(self.start), abs(self.stop)))
+        if not span / self.step + 0.5 < MAX_SWEEP_POINTS:
+            raise ScenarioError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+
+    def values(self):
         out = []
         v = self.start
         # endpoints inclusive within half a step; start + i*step, so no
@@ -53,8 +67,6 @@ class Sweep:
         while v <= self.stop + 0.5 * self.step:
             out.append(min(v, self.stop))
             v = self.start + len(out) * self.step
-        if not out:
-            raise ScenarioError("empty sweep range")
         return out
 
 
@@ -78,7 +90,23 @@ class ResultRow:
     runtime_ms: int
 
 
-CSV_HEADER = "scenario_id,sweep_value,mode,method,outage,err,n_samples,seed,runtime_ms"
+_ROW_FIELDS = [f.name for f in dataclasses.fields(ResultRow)]
+CSV_HEADER = ",".join(_ROW_FIELDS)
+# a row's values in header order; dataclasses.astuple deep-copies each row
+_row_values = operator.attrgetter(*_ROW_FIELDS)
+
+
+def _object(d, where: str, keys, optional=()):
+    """``d`` if it is an object with the ``keys`` and no other; ``optional`` may be absent."""
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{where} must be an object")
+    unknown = d.keys() - keys
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = keys - set(optional) - d.keys()
+    if missing:
+        raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
+    return d
 
 
 def _number(value, name: str) -> float:
@@ -90,31 +118,16 @@ def _number(value, name: str) -> float:
 
 
 def _fading_from_dict(d, where):
-    if not isinstance(d, dict):
-        raise ScenarioError(f"{where} must be an object with alpha/mu/r_hat")
-    unknown = set(d) - _FADING_KEYS
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = _FADING_KEYS - set(d)
-    if missing:
-        raise ScenarioError(f"{where}: missing keys {sorted(missing)}")
     try:
         return AlphaMuParams(**{key: _number(value, f"{where}.{key}")
-                                for key, value in d.items()})
+                                for key, value in _object(d, where, _FADING_KEYS).items()})
     except DomainError as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
 def config_from_dict(d) -> SystemConfig:
     """Strict-schema SystemConfig: unknown keys rejected, invariants enforced."""
-    if not isinstance(d, dict):
-        raise ScenarioError("config must be a JSON object")
-    unknown = set(d) - _CONFIG_KEYS
-    if unknown:
-        raise ScenarioError(f"config: unknown keys {sorted(unknown)}")
-    missing = _CONFIG_KEYS - _OPTIONAL_CONFIG_KEYS - set(d)
-    if missing:
-        raise ScenarioError(f"config: missing keys {sorted(missing)}")
+    _object(d, "config", _CONFIG_KEYS, optional=("eh_time_fraction", "block_time"))
     if "eh_time_fraction" not in d:
         print("warning: eh_time_fraction missing, defaulting to 0.5", file=sys.stderr)
     kwargs = {key: _fading_from_dict(value, key) if key in _BRANCHES
@@ -135,27 +148,12 @@ def load_scenario(path: str) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: top level must be an object")
-    unknown = set(raw) - {"id", "config", "sweep"}
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    if "id" not in raw or "config" not in raw:
-        raise ScenarioError(f"{path}: 'id' and 'config' are required")
-    sweep = None
-    if raw.get("sweep") is not None:
-        s = raw["sweep"]
-        if not isinstance(s, dict):
-            raise ScenarioError(f"{path}: sweep must be an object")
-        unknown = set(s) - {"parameter", "start", "stop", "step"}
-        if unknown:
-            raise ScenarioError(f"{path}: sweep has unknown keys {sorted(unknown)}")
-        try:
-            sweep = Sweep(parameter=str(s["parameter"]),
-                          **{k: _number(s[k], f"sweep.{k}") for k in ("start", "stop", "step")})
-        except KeyError as exc:
-            raise ScenarioError(f"{path}: sweep is missing {exc}") from None
-        sweep.values()  # validate the range eagerly
+    _object(raw, path, {"id", "config", "sweep"}, optional=("sweep",))
+    sweep = raw.get("sweep")
+    if sweep is not None:
+        s = _object(sweep, "sweep", {"parameter", "start", "stop", "step"})
+        sweep = Sweep(parameter=str(s["parameter"]),
+                      **{k: _number(s[k], f"sweep.{k}") for k in ("start", "stop", "step")})
     return Scenario(id=str(raw["id"]), config=config_from_dict(raw["config"]),
                     sweep=sweep)
 
@@ -182,10 +180,8 @@ def emit(rows, fmt: str, path: str | None) -> None:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in rows:
-            lines.append(",".join([
-                r.scenario_id, _fmt(r.sweep_value), r.mode, r.method,
-                _fmt(r.outage), _fmt(r.err), str(r.n_samples), str(r.seed),
-                str(r.runtime_ms)]))
+            lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in _row_values(r)))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         text = json.dumps([dataclasses.asdict(r) for r in rows], indent=2) + "\n"
@@ -229,20 +225,17 @@ def compute_rows(scenario: Scenario, modes, methods, samples: int, seed: int):
     for i, (value, cfg) in enumerate(grid):
         for k, mode in enumerate(modes):
             for method in methods:
-                t0 = time.perf_counter()
-                if method == "analytic":
-                    res = outage_df(cfg) if mode == "df" else outage_af(cfg)
-                    outage, err, n_s = res.value, res.numeric_error, 0
-                    any_bad = any_bad or not res.converged
-                elif method == "high_snr":
-                    res = outage_high_snr(cfg)
-                    outage, err, n_s = res.value, res.numeric_error, 0
-                elif method == "mc":
+                if method == "mc":
                     est = mc[i][k]
                     outage, err, n_s = est.p_hat, est.stderr, est.n_samples
                 else:
-                    raise ScenarioError(f"unknown method {method!r}")
-                if method != "mc":
+                    t0 = time.perf_counter()
+                    if method == "high_snr":
+                        res = outage_high_snr(cfg)
+                    else:
+                        res = outage_df(cfg) if mode == "df" else outage_af(cfg)
+                    outage, err, n_s = res.value, res.numeric_error, 0
+                    any_bad = any_bad or not res.converged
                     dt_ms = (time.perf_counter() - t0) * 1e3
                     print(f"timing: {scenario.id} {value:g} {mode} {method}: {dt_ms:.1f} ms",
                           file=sys.stderr)
@@ -310,11 +303,7 @@ def _build_scenario(args) -> Scenario:
     if len(sweeps) > 1:
         raise ScenarioError("at most one sweep flag may be given")
     if sweeps:
-        raw, param = sweeps[0]
-        sweep = _parse_sweep_flag(raw, param)
-        for v in sweep.values():
-            apply_sweep_value(scenario.config, param, v)  # domain check
-        scenario = dataclasses.replace(scenario, sweep=sweep)
+        scenario = dataclasses.replace(scenario, sweep=_parse_sweep_flag(*sweeps[0]))
     return scenario
 
 
@@ -322,12 +311,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         scenario = _build_scenario(args)
-        methods = _METHODS[args.method]
-        if args.samples < 10_000 and "mc" in methods:
-            raise ScenarioError("--samples must be at least 10000")
         modes = ("df", "af") if args.mode == "both" else (args.mode,)
         t0 = time.perf_counter()
-        rows, any_bad = compute_rows(scenario, modes, methods, args.samples, args.seed)
+        rows, any_bad = compute_rows(scenario, modes, _METHODS[args.method],
+                                     args.samples, args.seed)
         emit(rows, args.format, args.out)
         print(f"total: {len(rows)} rows in {time.perf_counter() - t0:.2f} s",
               file=sys.stderr)

@@ -90,8 +90,14 @@ class ProductDistParams:
         object.__setattr__(self, "ln_norm", ln_gamma(m1) + ln_gamma(m2))
 
     def kernel_arg(self, z: float) -> float:
-        """x = lam1 lam2 z^{alpha/2}, the argument of the F_Z kernel."""
-        return self.lam12 * z ** (0.5 * self.hop1.alpha)
+        """x = lam1 lam2 z^{alpha/2}, the argument of the F_Z kernel.
+
+        +inf when z^{alpha/2} overflows, where F_Z is exactly 1.
+        """
+        try:
+            return self.lam12 * z ** (0.5 * self.hop1.alpha)
+        except OverflowError:
+            return math.inf
 
 
 # ----------------------------------------------------------------------
@@ -176,22 +182,20 @@ def pdf_product(pp: ProductDistParams, z: float) -> float:
 _CLAMP_CACHE: dict = {}
 
 
-def product_arg_clamp(mu1: float, mu2: float) -> float:
+def product_arg_clamp(pp: ProductDistParams) -> float:
     """Smallest kernel argument x beyond which 1 - F_Z < 1e-14.
 
     The survival mass is the Bessel-kernel tail integral over the full
     normalization; found once per shape pair by expanding search and cached.
     """
-    key = (min(mu1, mu2), max(mu1, mu2))
+    key = tuple(sorted((pp.hop1.mu, pp.hop2.mu)))
     hit = _CLAMP_CACHE.get(key)
     if hit is not None:
         return hit
-    sigma = 0.5 * (mu1 + mu2)
-    delta = abs(mu1 - mu2)
-    full = math.exp(ln_gamma(mu1) + ln_gamma(mu2))
+    full = math.exp(pp.ln_norm)
     x = 40.0
     for _ in range(40):
-        tail, _, _ = _kernel_tail(delta, sigma, x)
+        tail, _, _ = _kernel_tail(pp.delta, pp.sigma, x)
         if tail < 1e-14 * full:
             break
         x *= 1.6
@@ -209,13 +213,16 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
     if x < 1e-30:
         # F is bounded by ~x^{min mu} |ln x|, far below any tolerance here
         return 0.0, 1e-15, True
-    if x >= product_arg_clamp(pp.hop1.mu, pp.hop2.mu):
+    if x >= product_arg_clamp(pp):
         return 1.0, 1e-14, True
     norm = math.exp(-pp.ln_norm)
     xs = x ** pp.sigma
     gval, gerr, ok = _g2131_eval(pp.delta, pp.sigma, x)
     value = xs * gval * norm
     err = xs * gerr * norm + 4.0 * EPS * abs(value)
+    if not (math.isfinite(value) and math.isfinite(err)):
+        # a kernel term past the double range leaves no bound on the value
+        return min(1.0, max(0.0, value)), math.inf, False
     return min(1.0, max(0.0, value)), err, ok
 
 

@@ -130,7 +130,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     # the two can differ by many orders when the loop-back endpoint is far
     # out in the tail
     bps_lo = [b * w_mid for b in (1e-6, 1e-3, 0.03, 0.3)]
-    bps_lo += [0.5 * mu3, 2.0 * mu3, 10.0 + 5.0 * mu3]
+    bps_lo += [0.5 * mu3, 2.0 * mu3, 10.0 + 5.0 * mu3, 40.0 + 5.0 * mu3]
     bps_lo = sorted({b for b in bps_lo if 0.0 < b < w_mid})
     val_lo, err_lo, ok_lo = integrate_adaptive(
         lower_integrand, 0.0, w_mid, settings, breakpoints=bps_lo)

@@ -346,7 +346,7 @@ def _g_series_noninteger(delta: float, sigma: float, x: float):
     delta = abs(delta)
     if delta == 0.0:
         raise ValueError("delta must be nonzero for the two-branch series")
-    g_minus = math.pi / (-_sin_pi(delta) * math.exp(ln_gamma(1.0 + delta)))  # Gamma(-delta)
+    g_minus = gamma_fn(-delta)
     g_plus = gamma_fn(delta)
     k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
 
@@ -591,19 +591,24 @@ def _g2131_eval(delta: float, sigma: float, x: float):
 
     A gap within a few ulps of an integer (2.2 - 1.2) takes the log-series,
     and a gap from there to _NEAR_INTEGER off an integer is interpolated
-    across the gap.
+    across the gap.  A series term past the double range, such as
+    x^{-delta/2} for a gap above about 20 at small x, leaves no value:
+    (inf, inf, False).
     """
     delta = abs(delta)
     if x > _X_SERIES_MAX:
         return _g_complement(delta, sigma, x)
     d_int = round(delta)
     dist = abs(delta - d_int)
-    if dist <= 2.0 * EPS * (sigma + delta):
-        result = _g_series_integer(int(d_int), sigma, x)
-    elif dist < _NEAR_INTEGER:
-        result = _g_near_integer(delta, sigma, x)
-    else:
-        result = _g_series_noninteger(delta, sigma, x)
+    try:
+        if dist <= 2.0 * EPS * (sigma + delta):
+            result = _g_series_integer(int(d_int), sigma, x)
+        elif dist < _NEAR_INTEGER:
+            result = _g_near_integer(delta, sigma, x)
+        else:
+            result = _g_series_noninteger(delta, sigma, x)
+    except OverflowError:
+        return math.inf, math.inf, False
     value, err, _ = result
     if err > 3e-9 * abs(value) and x >= 6.0:
         # series cancellation is marginal here; the complement route is

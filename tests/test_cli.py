@@ -1,12 +1,22 @@
+import contextlib
+import io
 import json
+import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fdrelay.cli import (
     CSV_HEADER,
+    MAX_SWEEP_POINTS,
+    SWEEP_PARAMETERS,
     ResultRow,
+    Scenario,
     Sweep,
     apply_sweep_value,
     emit,
@@ -152,6 +162,24 @@ def test_sweep_grammar():
         _parse_sweep_flag("a:b:c", "target_rate")
     with pytest.raises(ScenarioError):
         Sweep("target_rate", 2.0, 1.0, 0.5).values()
+    # a sweep is checked where it is built, and NaN fails the range test
+    for bad in ((math.nan, 2.0, 1.0), (1.0, math.nan, 1.0), (1.0, 2.0, math.nan)):
+        with pytest.raises(ScenarioError, match="step > 0 and stop >= start"):
+            Sweep("target_rate", *bad)
+
+
+def test_sweep_over_the_point_cap_is_rejected(tmp_path):
+    # a step far below the span, or below the spacing of doubles at the
+    # endpoints, would have values() allocate until memory runs out
+    for raw in ("0.5:6:1e-9", "1e20:1e20:1e-9", "0:10000:1", "-inf:0:1"):
+        with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+            _parse_sweep_flag(raw, "target_rate")
+    assert len(_parse_sweep_flag("1:10000:1", "source_power").values()) == MAX_SWEEP_POINTS
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"id": "s", "config": GOOD_CONFIG, "sweep": {
+        "parameter": "target_rate", "start": 0.0, "stop": 1.0, "step": 1e-4}}))
+    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+        load_scenario(str(path))
 
 
 def test_apply_sweep_value_touches_all_branches():
@@ -327,6 +355,33 @@ def test_subnormal_source_power_gives_rows(capsys):
         assert mc[mode].outage == 1.0
 
 
+def test_overflowing_kernel_argument_is_outage(capsys):
+    # z^{alpha/2} overflows at alpha 3: the kernel argument is +inf, where
+    # F_Z is exactly 1, and both modes are in outage
+    assert main(["--preset", "weibull", "--method", "analytic", "--power", "1e-300"]) == 0
+    rows = {r.mode: r for r in rows_from_csv(capsys.readouterr().out)}
+    assert rows["df"].outage == 1.0
+    assert rows["af"].outage == pytest.approx(1.0, abs=1e-12)
+    assert rows["af"].outage >= rows["df"].outage - rows["df"].err
+
+
+@pytest.mark.parametrize("power, mu2", [(1e20, 30.0), (1e28, 25.0), (1e28, 24.5)],
+                         ids=["gamma-times-power-inf", "power-raises", "integer-gap"])
+def test_kernel_term_past_double_range_exits_3(tmp_path, capsys, power, mu2):
+    # a shape gap above 20 at a small kernel argument sends the series term
+    # Gamma(gap) x^{-gap/2}, or x^{-gap/2} alone, past the double range: no
+    # value, so no bound either
+    cfg = dict(GOOD_CONFIG, source_power=power,
+               hop1_fading={"alpha": 2.0, "mu": 0.5, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": mu2, "r_hat": 1.0})
+    code = _scenario_main(tmp_path, {"id": "wide", "config": cfg}, "--method", "analytic")
+    out, err = capsys.readouterr()
+    assert code == 3
+    rows = {r.mode: r for r in rows_from_csv(out)}
+    assert rows["df"].err == math.inf
+    assert err.splitlines()[-1] == "error: at least one row did not converge"
+
+
 def _scenario_main(tmp_path, scenario, *args):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(scenario))
@@ -483,3 +538,98 @@ def test_cli_subprocess_deterministic(tmp_path):
         runs.append(proc.stdout)
     assert runs[0] == runs[1]
     assert runs[0].splitlines()[0] == CSV_HEADER
+
+
+# ----------------------------------------------------------------------
+# the input layer
+
+# values a scenario document may carry in place of a number or an object
+_ODD_VALUES = st.one_of(
+    st.sampled_from([None, "x", "1e3", [], [1.0], {}, {"a": 1}, True,
+                     math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-10**400, max_value=10**400),
+    st.text(max_size=4),
+)
+_LEVELS = ((), ("config",), ("config", "hop1_fading"), ("config", "hop2_fading"),
+           ("config", "lbi_fading"), ("sweep",))
+
+
+@st.composite
+def _scenario_documents(draw):
+    """The README-shaped scenario with one or two defects at any level."""
+    root = {"doc": {"id": "fuzz", "config": json.loads(json.dumps(GOOD_CONFIG)),
+                    "sweep": dict(_SWEEP)}}
+    for _ in range(draw(st.integers(1, 2))):
+        *path, last = ("doc",) + draw(st.sampled_from(_LEVELS))
+        holder = root
+        for key in path:
+            holder = holder.get(key) if isinstance(holder, dict) else None
+        obj = holder.get(last) if isinstance(holder, dict) else None
+        if not isinstance(obj, dict):
+            continue
+        op = draw(st.sampled_from(["replace", "drop", "add", "set", "set"]
+                                  + ["resweep"] * 3 * (last == "sweep")))
+        if op == "replace":
+            holder[last] = draw(_ODD_VALUES)
+        elif op == "drop" and obj:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif op == "add":
+            obj[draw(st.sampled_from(["extra", "Alpha", "block_time", "sweep"]))] = 1.0
+        elif op == "set" and obj:
+            obj[draw(st.sampled_from(sorted(obj)))] = draw(_ODD_VALUES)
+        elif op == "resweep":
+            holder[last] = {
+                "parameter": draw(st.sampled_from(SWEEP_PARAMETERS + ("bandwidth",))),
+                "start": draw(st.floats(-10.0, 10.0) | st.sampled_from([math.nan, -math.inf])),
+                "stop": draw(st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf])),
+                "step": draw(st.sampled_from([0.5, 1e-3, 1e-9, 0.0, -1.0, math.nan, math.inf]))}
+    return root["doc"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_scenario_documents())
+def test_scenario_document_is_a_scenario_or_one_error(tmp_path_factory, doc):
+    # a document ends in a Scenario or a ScenarioError; rejected, the CLI
+    # exits 2 with nothing on stdout and exactly one error line
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        try:
+            assert isinstance(load_scenario(str(path)), Scenario)
+            return
+        except ScenarioError:
+            pass
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(path), "--method", "analytic"])
+    assert code == 2
+    assert stdout.getvalue() == ""
+    errors = [ln for ln in stderr.getvalue().splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1, stderr.getvalue()
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_cli_commands():
+    """Each ``fdrelay`` command of the README's CLI section, as an argv."""
+    section = _README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("fdrelay ")]
+
+
+def test_readme_cli_commands_run(tmp_path, capsys):
+    # the README's scenario JSON stands in for the scenario.json it names
+    scenario = _README.read_text().split("```json", 1)[1].split("```", 1)[0]
+    path = tmp_path / "scenario.json"
+    path.write_text(scenario)
+    commands = _readme_cli_commands()
+    assert len(commands) == 4
+    for argv in commands:
+        argv = [str(path) if a == "scenario.json" else a for a in argv]
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")

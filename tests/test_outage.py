@@ -147,6 +147,19 @@ def test_degenerate_loopback_leaves_product_term():
     assert outage_df(cfg).value == pytest.approx(cdf_product(pp, z_th), abs=1e-9)
 
 
+@pytest.mark.parametrize("name", ["rayleigh", "weibull", "nakagami"])
+def test_af_never_below_df_at_small_loopback_scales(name):
+    # a small loop-back scale puts the gamma mass of the lower AF half far
+    # below its endpoint; AF must still keep all of it, and as the scale
+    # vanishes AF meets DF, F_Z at the destination threshold
+    for r_hat in (1e-4, 1e-6, 1e-10, 1e-50):
+        cfg = preset_config(name, lbi_r_hat=r_hat)
+        df, af = outage_df(cfg), outage_af(cfg)
+        tol = af.numeric_error + df.numeric_error
+        assert af.value >= df.value - tol, (r_hat, af, df)
+    assert abs(af.value - df.value) <= tol, (af, df)
+
+
 # analytic (df, af) outage of every preset at 1 and 10 W and four rates; a
 # refactor of the engines must reproduce them to 1e-12
 GOLDEN = {
