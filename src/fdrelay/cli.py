@@ -110,11 +110,14 @@ def _object(d, where: str, keys, optional=()):
 
 
 def _number(value, name: str) -> float:
-    """A scenario number as a float, or a ScenarioError naming its key."""
+    """A finite scenario number as a float, or a ScenarioError naming its key."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{name} must be finite, got {value!r}")
+    return number
 
 
 def _fading_from_dict(d, where):

@@ -17,8 +17,10 @@ cross-check in the test suite:
                        logarithmic series when the branch exponents collide,
                        by interpolation in the gap across both series when
                        they nearly collide, and by a Bessel-kernel tail
-                       integral for large argument, which a fixed
-                       Gauss-Laguerre rule sums.
+                       integral for large argument.  For an integer smaller
+                       shape (the Rayleigh, Weibull and integer-m Nakagami
+                       presets) that tail is a finite Erlang sum of Bessel
+                       terms; otherwise a fixed Gauss-Laguerre rule sums it.
 
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
@@ -276,8 +278,32 @@ def _bessel_k_cf2(mu: float, x: float):
     return rk, rk1
 
 
-def _bessel_k_scaled(nu: float, x: float) -> float:
-    """e^x K_nu(x) for nu >= 0, x > 0."""
+def _k_upward(mu: float, rk: float, rk1: float, x: float, n_up: int, orders: int | None):
+    """K at order mu + n_up from the pair at mu and mu + 1, |mu| <= 0.5.
+
+    The recurrence K_{v+1} = K_{v-1} + (2 v / x) K_v is stable upward for K
+    and holds alike for e^x K.  With ``orders`` = n, the list of the n orders
+    mu + n_up .. mu + n_up + n - 1 instead.
+    """
+    top = n_up if orders is None else n_up + orders - 1
+    two_over_x = 2.0 / x
+    ladder = []
+    for i in range(1, top + 1):
+        if i > n_up:
+            ladder.append(rk)
+        rk, rk1 = rk1, (mu + i) * two_over_x * rk1 + rk
+    if orders is None:
+        return rk
+    ladder.append(rk)
+    return ladder
+
+
+def _bessel_k_scaled(nu: float, x: float, orders: int | None = None):
+    """e^x K_nu(x) for nu >= 0, x > 0.
+
+    With ``orders`` = n, the list e^x K_{nu+j}(x), j = 0 .. n-1, off one
+    continued fraction and one upward recurrence.
+    """
     n_up = int(nu + 0.5)
     mu = nu - n_up
     if x <= 2.0:
@@ -287,10 +313,7 @@ def _bessel_k_scaled(nu: float, x: float) -> float:
         rk1 *= scale
     else:
         rk, rk1 = _bessel_k_cf2(mu, x)
-    two_over_x = 2.0 / x
-    for i in range(1, n_up + 1):
-        rk, rk1 = rk1, (mu + i) * two_over_x * rk1 + rk
-    return rk
+    return _k_upward(mu, rk, rk1, x, n_up, orders)
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -310,11 +333,7 @@ def bessel_k(nu: float, x: float) -> float:
     if x <= 2.0:
         n_up = int(nu + 0.5)
         mu = nu - n_up
-        rk, rk1 = _bessel_k_series(mu, x)
-        two_over_x = 2.0 / x
-        for i in range(1, n_up + 1):
-            rk, rk1 = rk1, (mu + i) * two_over_x * rk1 + rk
-        return rk
+        return _k_upward(mu, *_bessel_k_series(mu, x), x, n_up, None)
     return _bessel_k_scaled(nu, x) * math.exp(-x)
 
 
@@ -336,6 +355,17 @@ def bessel_k(nu: float, x: float) -> float:
 _X_SERIES_MAX = 12.0   # beyond this the ascending series cancel too hard
 _NEAR_INTEGER = 1e-4   # branch-collision guard for the two-series form
 _INTERP_STEP = 1e-2    # node spacing in the gap for the near-integer band
+
+
+def _noise_integer(v: float, scale: float):
+    """round(v) when v is that integer up to float noise, else None.
+
+    The noise is 2 EPS scale, with ``scale`` the size of the shapes v was
+    formed from: a difference of shapes typed as decimals, such as
+    2.2 - 1.2 = 1.0000000000000002, misses its integer by an ulp of them.
+    """
+    n = round(v)
+    return n if abs(v - n) <= 2.0 * EPS * scale else None
 
 
 def _g_series_noninteger(delta: float, sigma: float, x: float):
@@ -459,7 +489,20 @@ _LAGUERRE_16 = _gauss_laguerre(16)
 def _kernel_tail(delta: float, sigma: float, x0: float):
     """T(x0) = 2 Int_{x0}^inf v^{sigma-1} K_delta(2 sqrt v) dv, x0 >= 4.
 
-    In t = 2 sqrt(v) = t0 + s the tail is
+    When the smaller shape m = sigma - delta/2 is a positive integer, up to
+    the float noise ``_noise_integer`` allows, one gamma factor of the
+    product is Erlang(m) and the tail is the finite sum
+
+        T = Gamma(m) sum_{k<m} (2/k!) x0^{(m+delta+k)/2} K_{m+delta-k}(t0),
+
+    with t0 = 2 sqrt(x0), whose m Bessel orders come off one ladder.  This
+    serves the Rayleigh, Weibull and integer-m Nakagami presets.  Each term
+    is exp(((m+delta+k)/2) ln x0 - t0 - ln k!) (e^{t0} K), which neither
+    overflows nor underflows before the term does.  The error is twice the
+    roundoff of that exponent, whose parts reach ``mag`` in magnitude, plus
+    4 EPS per term and per recurrence step.
+
+    Otherwise, in t = 2 sqrt(v) = t0 + s the tail is
 
         2^{2 - 2 sigma} e^{-t0} Int_0^inf e^{-s} t^{2 sigma - 1} (e^t K_delta(t)) ds,
 
@@ -480,6 +523,23 @@ def _kernel_tail(delta: float, sigma: float, x0: float):
     t0 = 2.0 * math.sqrt(x0)
     if t0 > 800.0:
         return 0.0, 0.0, True
+    m = _noise_integer(sigma - 0.5 * delta, sigma + delta)
+    if m is not None and m >= 1:
+        # e^{t0} K at the orders delta + 1 .. delta + m
+        ladder = _bessel_k_scaled(delta + 1.0, t0, m)
+        half_ln = 0.5 * math.log(x0)
+        total = 0.0
+        ln_fact = 0.0
+        mag = 0.0
+        for k in range(m):
+            if k:
+                ln_fact += math.log(k)
+            a = (m + delta + k) * half_ln
+            total += math.exp(a - t0 - ln_fact) * ladder[m - 1 - k]
+            mag = max(mag, a + t0 + ln_fact)
+        value = 2.0 * math.factorial(m - 1) * total
+        err = (16.0 + 4.0 * (m + delta) + 2.0 * mag) * EPS * value
+        return value, err, True
     p = 2.0 * sigma - 1.0
     scale = 2.0 ** (2.0 - 2.0 * sigma)
 
@@ -508,12 +568,22 @@ def _kernel_tail(delta: float, sigma: float, x0: float):
 
 
 def _g_complement(delta: float, sigma: float, x: float):
-    """Large-argument path: G = x^{-s} (Gamma(s+d/2) Gamma(s-d/2) - tail)."""
-    full = math.exp(ln_gamma(sigma + delta / 2.0) + ln_gamma(sigma - delta / 2.0))
+    """Large-argument path: G = x^{-s} (Gamma(s+d/2) Gamma(s-d/2) - tail).
+
+    ``full`` carries the roundoff of its two ln_gamma terms as relative
+    error.  Each is bounded by 64 EPS + 2 EPS |ln Gamma| (against mpmath
+    over 0.5 to 400 the error reaches 47 EPS + 2 EPS |ln Gamma|); 8 EPS
+    more covers exp, the subtraction and x^{-s}.  The tail's own error is
+    certified where it is computed.
+    """
+    ln_hi = ln_gamma(sigma + delta / 2.0)
+    ln_lo = ln_gamma(sigma - delta / 2.0)
+    full = math.exp(ln_hi + ln_lo)
     tail, terr, ok = _kernel_tail(delta, sigma, x)
     xs = x ** (-sigma)
     value = xs * (full - tail)
-    err = xs * (32.0 * EPS * full + 2.0 * terr)
+    full_err = (136.0 + 2.0 * (abs(ln_hi) + abs(ln_lo))) * EPS * full
+    err = xs * (full_err + terr)
     return value, err, ok
 
 
@@ -598,12 +668,11 @@ def _g2131_eval(delta: float, sigma: float, x: float):
     delta = abs(delta)
     if x > _X_SERIES_MAX:
         return _g_complement(delta, sigma, x)
-    d_int = round(delta)
-    dist = abs(delta - d_int)
+    d_int = _noise_integer(delta, sigma + delta)
     try:
-        if dist <= 2.0 * EPS * (sigma + delta):
-            result = _g_series_integer(int(d_int), sigma, x)
-        elif dist < _NEAR_INTEGER:
+        if d_int is not None:
+            result = _g_series_integer(d_int, sigma, x)
+        elif abs(delta - round(delta)) < _NEAR_INTEGER:
             result = _g_near_integer(delta, sigma, x)
         else:
             result = _g_series_noninteger(delta, sigma, x)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -415,6 +416,25 @@ def test_malformed_scenario_value_exits_2(tmp_path, capsys, scenario, needle):
     _assert_config_error(code, capsys, needle)
 
 
+def _with_value(key, value):
+    """GOOD_CONFIG with one number, named ``key`` or ``branch.key``, replaced."""
+    cfg = json.loads(json.dumps(GOOD_CONFIG))
+    *branch, last = key.split(".")
+    (cfg[branch[0]] if branch else cfg)[last] = value
+    return cfg
+
+
+@pytest.mark.parametrize("value", [math.inf, "inf"], ids=["Infinity", "inf-string"])
+@pytest.mark.parametrize("key", ["noise_dest_var", "hop1_fading.mu", "source_power"])
+@pytest.mark.parametrize("method", ["analytic", "mc"])
+def test_infinite_scenario_value_exits_2(tmp_path, capsys, method, key, value):
+    # float() takes JSON Infinity and "inf"; left to the engines they ended
+    # in a traceback, in exit 3, or in MC rows of 0
+    scenario = {"id": "s", "config": _with_value(key, value)}
+    code = _scenario_main(tmp_path, scenario, "--method", method, "--samples", "10000")
+    _assert_config_error(code, capsys, key, "finite")
+
+
 @pytest.mark.parametrize("distance", [1e200, 1e-200])
 @pytest.mark.parametrize("method", ["analytic", "mc"])
 def test_path_loss_product_out_of_range_exits_2(tmp_path, capsys, distance, method):
@@ -424,13 +444,25 @@ def test_path_loss_product_out_of_range_exits_2(tmp_path, capsys, distance, meth
     _assert_config_error(code, capsys, "path-loss product", "finite and above 0")
 
 
-def test_large_hop_shapes_match_monte_carlo(tmp_path, capsys):
-    # hop shapes 60/60 send the clamp search through the adaptive kernel
-    # tail, whose integrand t^{2 sigma - 1} must not overflow on its own
+def _count_tail_fallbacks(monkeypatch):
+    """The start points of every adaptive kernel-tail integral from now on."""
+    real = specfun.integrate_to_infinity
+    starts = []
+
+    def counted(*args, **kwargs):
+        starts.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(specfun, "integrate_to_infinity", counted)
+    return starts
+
+
+def _assert_large_shape_rows(tmp_path, capsys, mu):
+    # exit 0, DF <= AF, and each row within 4 sigma of 1e6 exact draws
     cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
-               hop1_fading={"alpha": 2.0, "mu": 60.0, "r_hat": 1.0},
-               hop2_fading={"alpha": 2.0, "mu": 60.0, "r_hat": 1.0})
-    code = _scenario_main(tmp_path, {"id": "mu60", "config": cfg}, "--method", "analytic")
+               hop1_fading={"alpha": 2.0, "mu": mu, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": mu, "r_hat": 1.0})
+    code = _scenario_main(tmp_path, {"id": f"mu{mu}", "config": cfg}, "--method", "analytic")
     assert code == 0
     rows = {r.mode: r for r in rows_from_csv(capsys.readouterr().out)}
     assert rows["df"].outage <= rows["af"].outage
@@ -438,6 +470,24 @@ def test_large_hop_shapes_match_monte_carlo(tmp_path, capsys):
     for mode, row in rows.items():
         est = simulate_outage(config, mode, 1_000_000, 60)
         assert abs(row.outage - est.p_hat) <= 4.0 * est.stderr, (mode, row.outage, est)
+
+
+def test_large_hop_shapes_match_monte_carlo(tmp_path, monkeypatch, capsys):
+    # non-integer hop shapes 60.5/60.5 send the clamp search through the
+    # adaptive kernel tail, whose integrand t^{2 sigma - 1} must not
+    # overflow on its own
+    fallbacks = _count_tail_fallbacks(monkeypatch)
+    _assert_large_shape_rows(tmp_path, capsys, 60.5)
+    assert fallbacks
+
+
+@pytest.mark.parametrize("mu", [60.0, 63.0])
+def test_integer_hop_shapes_sum_the_tail_in_closed_form(tmp_path, monkeypatch, capsys, mu):
+    # an integer smaller shape takes the finite Erlang sum at every tail:
+    # no adaptive fallback, and 63/63 no longer overflows in it
+    fallbacks = _count_tail_fallbacks(monkeypatch)
+    _assert_large_shape_rows(tmp_path, capsys, mu)
+    assert not fallbacks
 
 
 def test_mixed_alpha_scenario(tmp_path):
@@ -489,8 +539,9 @@ def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
 
 
 def test_unconverged_kernel_tail_exits_3_with_rows(tmp_path, monkeypatch, capsys):
-    # shapes 25/25 send large F_Z arguments through the complement, whose
-    # tail falls back to the adaptive integral; make that report failure
+    # shapes 25.5/25.5 send large F_Z arguments through the complement, whose
+    # tail falls back to the adaptive integral (an integer smaller shape
+    # would take the closed-form sum); make that integral report failure
     real = specfun.integrate_to_infinity
     calls = []
 
@@ -501,8 +552,8 @@ def test_unconverged_kernel_tail_exits_3_with_rows(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(specfun, "integrate_to_infinity", failing)
     cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
-               hop1_fading={"alpha": 2.0, "mu": 25.0, "r_hat": 1.0},
-               hop2_fading={"alpha": 2.0, "mu": 25.0, "r_hat": 1.0})
+               hop1_fading={"alpha": 2.0, "mu": 25.5, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": 25.5, "r_hat": 1.0})
     path = tmp_path / "tail.json"
     path.write_text(json.dumps({"id": "tail", "config": cfg}))
     assert not outage_df(load_scenario(str(path)).config).converged
@@ -546,11 +597,12 @@ def test_cli_subprocess_deterministic(tmp_path):
 # values a scenario document may carry in place of a number or an object
 _ODD_VALUES = st.one_of(
     st.sampled_from([None, "x", "1e3", [], [1.0], {}, {"a": 1}, True,
-                     math.nan, math.inf, -math.inf, -1.0, 0.0, 1e308, 5e-324]),
+                     math.nan, math.inf, -math.inf, "nan", -1.0, 0.0, 1e308, 5e-324]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(min_value=-10**400, max_value=10**400),
     st.text(max_size=4),
 )
+_INFINITIES = (math.inf, -math.inf, "inf", "Infinity", "-inf")
 _LEVELS = ((), ("config",), ("config", "hop1_fading"), ("config", "hop2_fading"),
            ("config", "lbi_fading"), ("sweep",))
 
@@ -568,7 +620,7 @@ def _scenario_documents(draw):
         obj = holder.get(last) if isinstance(holder, dict) else None
         if not isinstance(obj, dict):
             continue
-        op = draw(st.sampled_from(["replace", "drop", "add", "set", "set"]
+        op = draw(st.sampled_from(["replace", "drop", "add", "set", "set", "infinite"]
                                   + ["resweep"] * 3 * (last == "sweep")))
         if op == "replace":
             holder[last] = draw(_ODD_VALUES)
@@ -578,6 +630,8 @@ def _scenario_documents(draw):
             obj[draw(st.sampled_from(["extra", "Alpha", "block_time", "sweep"]))] = 1.0
         elif op == "set" and obj:
             obj[draw(st.sampled_from(sorted(obj)))] = draw(_ODD_VALUES)
+        elif op == "infinite" and obj:
+            obj[draw(st.sampled_from(sorted(obj)))] = draw(st.sampled_from(_INFINITIES))
         elif op == "resweep":
             holder[last] = {
                 "parameter": draw(st.sampled_from(SWEEP_PARAMETERS + ("bandwidth",))),
@@ -585,6 +639,18 @@ def _scenario_documents(draw):
                 "stop": draw(st.floats(-10.0, 10.0) | st.sampled_from([math.nan, math.inf])),
                 "step": draw(st.sampled_from([0.5, 1e-3, 1e-9, 0.0, -1.0, math.nan, math.inf]))}
     return root["doc"]
+
+
+def _read_numbers(scenario):
+    """The numbers of ``scenario`` read from its file; derived fields left out."""
+    def fields(obj):
+        return [getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init]
+
+    for value in fields(scenario.config) + (fields(scenario.sweep) if scenario.sweep else []):
+        if dataclasses.is_dataclass(value):
+            yield from fields(value)
+        elif isinstance(value, float):
+            yield value
 
 
 @settings(max_examples=300, derandomize=True, deadline=None,
@@ -598,10 +664,13 @@ def test_scenario_document_is_a_scenario_or_one_error(tmp_path_factory, doc):
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
         try:
-            assert isinstance(load_scenario(str(path)), Scenario)
-            return
+            scenario = load_scenario(str(path))
         except ScenarioError:
             pass
+        else:
+            assert isinstance(scenario, Scenario)
+            assert all(math.isfinite(v) for v in _read_numbers(scenario)), scenario
+            return
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(["--config", str(path), "--method", "analytic"])

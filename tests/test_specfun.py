@@ -28,6 +28,7 @@ from fdrelay.specfun import (
     _bessel_k_series,
     _digamma_int,
     _g2131_eval,
+    _g_complement,
     _kernel_tail,
     _zeta_int,
 )
@@ -242,7 +243,8 @@ def test_kernel_tail_matches_adaptive_reference(monkeypatch):
                 assert abs(value - ref) <= 1e-12 * ref, cell
                 assert abs(value - ref) <= err + ref_err, cell
                 if sigma - delta / 2.0 >= 0.5:
-                    # shapes mu1, mu2 >= 0.5: the fixed rule serves every cell
+                    # shapes mu1, mu2 >= 0.5: the fixed rule, or the closed
+                    # form for an integer smaller shape, serves every cell
                     assert len(fallbacks) == before, cell
 
 
@@ -259,6 +261,100 @@ def test_kernel_tail_falls_back_beyond_the_laguerre_nodes():
 
 def test_kernel_tail_vanishes_past_the_double_range():
     assert _kernel_tail(1.0, 2.0, 401.0 ** 2) == (0.0, 0.0, True)
+
+
+def erlang_tail_reference(delta, m, x0):
+    """The tail for an integer smaller shape m, as mpmath's finite Erlang sum."""
+    with mpmath.workdps(40):
+        d, x = mpmath.mpf(delta), mpmath.mpf(x0)
+        t0 = 2 * mpmath.sqrt(x)
+        return mpmath.gamma(m) * mpmath.fsum(
+            2 / mpmath.factorial(k) * x ** ((m + d + k) / 2) * mpmath.besselk(m + d - k, t0)
+            for k in range(m))
+
+
+def test_erlang_sum_is_the_kernel_tail_integral():
+    # the finite sum against the defining integral, in t = t0 + s with
+    # e^{t0} taken out so that the quadrature sees an O(1) integrand
+    for delta, m, x0 in ((0.3, 2, 12.0), (7.5, 8, 1e5)):
+        with mpmath.workdps(30):
+            d = mpmath.mpf(delta)
+            sigma = m + d / 2
+            t0 = 2 * mpmath.sqrt(mpmath.mpf(x0))
+            integral = mpmath.quad(
+                lambda s: (t0 + s) ** (2 * sigma - 1) * mpmath.besselk(d, t0 + s) * mpmath.exp(t0),
+                [0, 2, 8, 25, 60, 150, mpmath.inf])
+            tail = 2 ** (2 - 2 * sigma) * integral * mpmath.exp(-t0)
+            ref = erlang_tail_reference(delta, m, x0)
+            assert abs(tail - ref) <= mpmath.mpf(10) ** -25 * ref, (delta, m, x0)
+
+
+def test_kernel_tail_closed_form_matches_mpmath(monkeypatch):
+    # 6 x 5 x 7 cells with an integer smaller shape m = sigma - delta/2,
+    # plus shapes 1 / 2.2, whose m = 0.9999999999999999 is float noise;
+    # each is one ladder of Bessel values, and its err certifies it
+    bessel_calls = []
+
+    def counted(*args):
+        bessel_calls.append(args)
+        return _bessel_k_scaled(*args)
+
+    monkeypatch.setattr(specfun, "_bessel_k_scaled", counted)
+    x0s = [float(x) for x in np.geomspace(12.0, 1e5, 7)]
+    cells = [(delta, m + delta / 2.0, x0, m)
+             for delta in (0.0, 0.3, 1.0, 2.5, 4.75, 7.5) for m in (1, 2, 3, 5, 8)
+             for x0 in x0s]
+    cells += [(2.2 - 1.0, 0.5 * (1.0 + 2.2), x0, 1) for x0 in x0s]
+    for delta, sigma, x0, m in cells:
+        before = len(bessel_calls)
+        value, err, ok = _kernel_tail(delta, sigma, x0)
+        ref = erlang_tail_reference(delta, m, x0)
+        cell = (delta, sigma, x0)
+        assert ok and len(bessel_calls) == before + 1, cell
+        assert abs(value - ref) <= 1e-12 * ref, cell
+        assert abs(value - ref) <= err, cell
+        assert err <= 1e-12 * value, cell
+
+
+def test_preset_shape_tail_makes_one_bessel_call(monkeypatch):
+    # delta 0, smaller shape 2 (Nakagami-2 hops) at x0 = 50: one counted
+    # ladder call, never the Gauss-Laguerre rule nor the adaptive fallback
+    class Untouchable:
+        def __iter__(self):
+            raise AssertionError("Gauss-Laguerre rule used")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adaptive tail used")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _bessel_k_scaled(*args)
+
+    monkeypatch.setattr(specfun, "_LAGUERRE_20", Untouchable())
+    monkeypatch.setattr(specfun, "_LAGUERRE_16", Untouchable())
+    monkeypatch.setattr(specfun, "integrate_to_infinity", forbidden)
+    monkeypatch.setattr(specfun, "_bessel_k_scaled", counted)
+    value, err, ok = _kernel_tail(0.0, 2.0, 50.0)
+    assert ok and 0.0 < value and err <= 1e-12 * value
+    assert len(calls) == 1
+
+
+def test_complement_err_bounds_its_error():
+    # 6 gaps x 4 smaller shapes x 4 arguments past the series range, where
+    # every F_Z takes the complement; the error of Gamma(a) Gamma(b) from
+    # ln_gamma dominates there and must sit inside err
+    for gap in (0.0, 0.5, 1.0, 1.5, 2.3, 4.0):
+        for mu_min in (0.5, 1.0, 2.0, 4.5):
+            sigma = mu_min + gap / 2.0
+            for x in (12.5, 20.0, 50.0, 200.0):
+                value, err, ok = _g_complement(gap, sigma, x)
+                ref = meijer_reference(gap, sigma, x)
+                cell = (gap, mu_min, x)
+                assert ok, cell
+                assert abs(value - ref) <= err, cell
+                assert err <= 1e-12 * abs(value), cell
 
 
 # ----------------------------------------------------------------------
