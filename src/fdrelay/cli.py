@@ -110,7 +110,7 @@ def _object(d, where: str, keys, optional=()):
 
 
 def _number(value, name: str) -> float:
-    """A finite scenario number as a float, or a ScenarioError naming its key."""
+    """A finite number as a float, or a ScenarioError naming its key or flag."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -290,13 +290,14 @@ def _build_scenario(args) -> Scenario:
     else:
         scenario = Scenario(id=args.preset, config=preset_config(args.preset))
     cfg = scenario.config
-    for param, value in (("eh_time_fraction", args.eta), ("mu", args.mu),
-                         ("source_power", args.power), ("target_rate", args.rate)):
+    for flag, param, value in (("--eta", "eh_time_fraction", args.eta), ("--mu", "mu", args.mu),
+                               ("--power", "source_power", args.power),
+                               ("--rate", "target_rate", args.rate)):
         if value is not None:
-            cfg = apply_sweep_value(cfg, param, value)
+            cfg = apply_sweep_value(cfg, param, _number(value, flag))
     if args.lbi_r_hat is not None:
-        cfg = dataclasses.replace(
-            cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, r_hat=args.lbi_r_hat))
+        r_hat = _number(args.lbi_r_hat, "--lbi-r-hat")
+        cfg = dataclasses.replace(cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, r_hat=r_hat))
     scenario = dataclasses.replace(scenario, config=cfg)
 
     sweeps = [(flag, param) for flag, param in (

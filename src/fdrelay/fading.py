@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .specfun import (
-    EPS,
     bessel_k,
     ln_gamma,
     reg_lower_gamma,
+    ShapePair,
+    shape_pair,
     _g2131_eval,
     _kernel_tail,
 )
@@ -77,17 +78,19 @@ class ProductDistParams:
     sigma: float = field(init=False)    # (mu1 + mu2) / 2
     delta: float = field(init=False)    # |mu1 - mu2|, the Bessel order
     ln_norm: float = field(init=False)  # ln Gamma(mu1) + ln Gamma(mu2)
+    shapes: ShapePair = field(init=False)  # the kernel's per-pair constants
 
     def __post_init__(self):
         if self.hop1.alpha != self.hop2.alpha:
             raise DomainError(
                 f"closed-form product requires equal alphas, got "
                 f"{self.hop1.alpha} and {self.hop2.alpha}")
-        m1, m2 = self.hop1.mu, self.hop2.mu
+        shapes = shape_pair(self.hop1.mu, self.hop2.mu)
         object.__setattr__(self, "lam12", power_rate(self.hop1) * power_rate(self.hop2))
-        object.__setattr__(self, "sigma", 0.5 * (m1 + m2))
-        object.__setattr__(self, "delta", abs(m1 - m2))
-        object.__setattr__(self, "ln_norm", ln_gamma(m1) + ln_gamma(m2))
+        object.__setattr__(self, "sigma", shapes.sigma)
+        object.__setattr__(self, "delta", shapes.delta)
+        object.__setattr__(self, "ln_norm", shapes.ln_norm)
+        object.__setattr__(self, "shapes", shapes)
 
     def kernel_arg(self, z: float) -> float:
         """x = lam1 lam2 z^{alpha/2}, the argument of the F_Z kernel.
@@ -185,18 +188,16 @@ _CLAMP_CACHE: dict = {}
 def product_arg_clamp(pp: ProductDistParams) -> float:
     """Smallest kernel argument x beyond which 1 - F_Z < 1e-14.
 
-    The survival mass is the Bessel-kernel tail integral over the full
-    normalization; found once per shape pair by expanding search and cached.
+    The survival 1 - F_Z is the kernel tail S; found once per shape pair by
+    expanding search and cached.
     """
     key = tuple(sorted((pp.hop1.mu, pp.hop2.mu)))
     hit = _CLAMP_CACHE.get(key)
     if hit is not None:
         return hit
-    full = math.exp(pp.ln_norm)
     x = 40.0
     for _ in range(40):
-        tail, _, _ = _kernel_tail(pp.delta, pp.sigma, x)
-        if tail < 1e-14 * full:
+        if _kernel_tail(pp.shapes, x)[0] < 1e-14:
             break
         x *= 1.6
     _CLAMP_CACHE[key] = x
@@ -204,7 +205,7 @@ def product_arg_clamp(pp: ProductDistParams) -> float:
 
 
 def _cdf_product_meijer(pp: ProductDistParams, z: float):
-    """(value, abs error, converged) of F_Z(z) through the residue-series kernel.
+    """(value, abs error, converged) of F_Z(z) through the kernel ``_g2131_eval``.
 
     ``converged`` is the kernel's flag; an unconverged F_Z still carries its
     best value and error.  The two clamped ends are exact to their error.
@@ -215,11 +216,7 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
         return 0.0, 1e-15, True
     if x >= product_arg_clamp(pp):
         return 1.0, 1e-14, True
-    norm = math.exp(-pp.ln_norm)
-    xs = x ** pp.sigma
-    gval, gerr, ok = _g2131_eval(pp.delta, pp.sigma, x)
-    value = xs * gval * norm
-    err = xs * gerr * norm + 4.0 * EPS * abs(value)
+    value, err, ok = _g2131_eval(pp.shapes, x)
     if not (math.isfinite(value) and math.isfinite(err)):
         # a kernel term past the double range leaves no bound on the value
         return min(1.0, max(0.0, value)), math.inf, False

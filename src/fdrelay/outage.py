@@ -119,6 +119,13 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
 
     def lower_integrand(w):
+        if w == 0.0:
+            # the gamma density's limit at 0 is 0 above mu3 = 1, 1 at it and
+            # +inf below it, weighted by F_Z at v = 0
+            if mu3 > 1.0:
+                return 0.0
+            f0 = f_z(nu * c.beta4 / c.beta1)
+            return f0 * inv_gamma3 if mu3 == 1.0 or f0 == 0.0 else math.inf
         ln_d = (mu3 - 1.0) * math.log(w) - w
         if ln_d < -745.0:
             return 0.0

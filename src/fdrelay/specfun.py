@@ -11,34 +11,41 @@ cross-check in the test suite:
                        order, uniform Temme series for x <= 2 crossed with a
                        Steed continued fraction beyond it
 * ``_g2131_eval``      the one Meijer G instance needed here: the kernel that
-                       closes the CDF of a product of two gamma-power
-                       variates.  Evaluated by its ascending residue series
-                       (two hypergeometric-type branches), by the confluent
-                       logarithmic series when the branch exponents collide,
-                       by interpolation in the gap across both series when
-                       they nearly collide, and by a Bessel-kernel tail
-                       integral for large argument.  For an integer smaller
-                       shape (the Rayleigh, Weibull and integer-m Nakagami
-                       presets) that tail is a finite Erlang sum of Bessel
-                       terms; otherwise a fixed Gauss-Laguerre rule sums it.
+                       closes the CDF F_Z of a product of two gamma-power
+                       variates, returned as F_Z itself.  Evaluated by its
+                       ascending residue series (two hypergeometric-type
+                       branches), by the confluent logarithmic series when
+                       the branch exponents collide, by interpolation in the
+                       gap across both series when they nearly collide, and
+                       for large argument as 1 - S, with S = P(X1 X2 > x)
+                       by shape reduction (``_kernel_tail``): each shape
+                       mu = f + n is stepped down to its fractional part f,
+                       which leaves unit-step Bessel-ladder sums and, for two
+                       non-integer shapes, a residual with both shapes in
+                       (0, 1) summed by a fixed Gauss-Laguerre rule.  An
+                       integer shape (the Rayleigh, Weibull and integer-m
+                       Nakagami presets) leaves one finite Erlang sum.
 
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
 1e-8 relative on its restricted parameter pattern for argument in
-[1e-10, 1e4] and returns its own error estimate with a converged flag.  All
-functions are pure and reentrant.
+[1e-10, 1e4] and returns its own error estimate with a converged flag.  The
+kernel takes hop shapes up to MAX_SHAPE.  All functions are pure and
+reentrant.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .errors import DomainError
-from .quadrature import QuadratureSettings, integrate_adaptive, integrate_to_infinity
+from .quadrature import QuadratureSettings, integrate_adaptive
 
 EPS = 2.220446049250313e-16
 EULER_GAMMA = 0.5772156649015328606065120900824024
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
+_LN2 = 0.6931471805599453094172321214581766
 
 # Stirling series coefficients B_{2n} / (2n (2n-1)) for ln Gamma
 _STIRLING = (
@@ -349,8 +356,9 @@ def bessel_k(nu: float, x: float) -> float:
 #
 #     G(x) = 2 x^{-s} Integral_0^x v^{s-1} K_delta(2 sqrt(v)) dv,
 #
-# which the large-argument complement and the tests' reference quadrature
-# use directly.
+# which the tests' reference quadratures use directly.  For large argument
+# the package takes F_Z = x^s G / (Gamma(mu1) Gamma(mu2)) as 1 - S instead,
+# with S the shape-reduced survival of ``_kernel_tail``.
 
 _X_SERIES_MAX = 12.0   # beyond this the ascending series cancel too hard
 _NEAR_INTEGER = 1e-4   # branch-collision guard for the two-series form
@@ -481,110 +489,144 @@ def _gauss_laguerre(n: int):
     return tuple(nodes), tuple(weights)
 
 
-# the tail rule and the smaller rule whose difference from it is the error
+# the residual's rule, built once at import
 _LAGUERRE_20 = _gauss_laguerre(20)
-_LAGUERRE_16 = _gauss_laguerre(16)
+
+# relative error of the 20-point rule on the residual, both shapes in (0, 1)
+# and x0 >= 6; certified against mpmath in the tests
+_RESIDUAL_RULE_ERR = 1e-13
+
+# the largest hop shape: e^t K_200(t) is e^683 at the smallest tail argument,
+# t0 = 2 sqrt(6), and order 207 leaves the double range there
+MAX_SHAPE = 200.0
 
 
-def _kernel_tail(delta: float, sigma: float, x0: float):
-    """T(x0) = 2 Int_{x0}^inf v^{sigma-1} K_delta(2 sqrt v) dv, x0 >= 4.
+class ReducedShape(NamedTuple):
+    """mu = f + n, n an integer and f in [0, 1); f = 0 for an integer up to float noise."""
 
-    When the smaller shape m = sigma - delta/2 is a positive integer, up to
-    the float noise ``_noise_integer`` allows, one gamma factor of the
-    product is Erlang(m) and the tail is the finite sum
+    mu: float
+    f: float
+    n: int
+    ln_gamma_mu: float
+    ln_gamma_f: float   # inf for f = 0, where 1 / Gamma(f) = 0
 
-        T = Gamma(m) sum_{k<m} (2/k!) x0^{(m+delta+k)/2} K_{m+delta-k}(t0),
 
-    with t0 = 2 sqrt(x0), whose m Bessel orders come off one ladder.  This
-    serves the Rayleigh, Weibull and integer-m Nakagami presets.  Each term
-    is exp(((m+delta+k)/2) ln x0 - t0 - ln k!) (e^{t0} K), which neither
-    overflows nor underflows before the term does.  The error is twice the
-    roundoff of that exponent, whose parts reach ``mag`` in magnitude, plus
-    4 EPS per term and per recurrence step.
+class ShapePair(NamedTuple):
+    """The two shapes of F_Z's kernel and the constants every argument shares."""
 
-    Otherwise, in t = 2 sqrt(v) = t0 + s the tail is
+    delta: float        # |mu1 - mu2|, the Bessel order of the kernel
+    sigma: float        # (mu1 + mu2) / 2
+    ln_norm: float      # ln Gamma(mu1) + ln Gamma(mu2)
+    a: ReducedShape     # reduced first: an integer shape if any, else the smaller f
+    b: ReducedShape
 
-        2^{2 - 2 sigma} e^{-t0} Int_0^inf e^{-s} t^{2 sigma - 1} (e^t K_delta(t)) ds,
 
-    whose factor after e^{-s} is smooth and grows slowly, so a fixed
-    20-point Gauss-Laguerre rule (Abramowitz & Stegun 25.4.45) sums it to
-    near double precision.  ``t^{2 sigma - 1} e^{-t0}`` is taken as one
-    exponential, which neither overflows nor underflows before the product
-    does.  The error is the distance to the 16-point rule plus the roundoff
-    of that exponent, whose argument reaches ``t0`` in magnitude.
+def _reduced(mu: float) -> ReducedShape:
+    n = _noise_integer(mu, mu)
+    if n is not None:
+        return ReducedShape(mu, 0.0, n, ln_gamma(mu), math.inf)
+    n = math.floor(mu)
+    return ReducedShape(mu, mu - n, n, ln_gamma(mu), ln_gamma(mu - n))
 
-    When that error exceeds 1e-12 relative, the tail is integrated
-    adaptively instead.  This happens when 2 sigma is large against t0, so
-    that the mass sits beyond the last Laguerre node (sigma >= 20 at
-    x0 = 12); no shape in the documented range 0.5 to 8 gets there.
-    Returns (value, abs error, converged); zero beyond t0 = 800, where
-    e^{-t0} is below the double range.
+
+def shape_pair(mu1: float, mu2: float) -> ShapePair:
+    """The per-pair constants of F_Z's kernel, computed once per shape pair."""
+    if not max(mu1, mu2) <= MAX_SHAPE:
+        raise DomainError(
+            f"hop shapes {mu1:g} and {mu2:g}: the analytic product CDF takes "
+            f"shapes up to {MAX_SHAPE:g}, past which its Bessel terms leave "
+            f"the double range")
+    r1, r2 = _reduced(mu1), _reduced(mu2)
+    a, b = (r1, r2) if (r1.f, r1.n) <= (r2.f, r2.n) else (r2, r1)
+    return ShapePair(abs(mu1 - mu2), 0.5 * (mu1 + mu2),
+                     r1.ln_gamma_mu + r2.ln_gamma_mu, a, b)
+
+
+def _bessel_sum(e: float, half_ln: float, ln_pre: float, f: float, g: float, ladder):
+    """sum_k exp((e + k) half_ln + ln_pre - g_k) ladder[k], g_k = g + ln((f+1) .. (f+k)).
+
+    Returns the sum and the magnitude its largest exponent's parts reach.
     """
+    total = 0.0
+    for k, value in enumerate(ladder):
+        if k:
+            g += math.log(f + k)
+        total += math.exp((e + k) * half_ln + ln_pre - g) * value
+    return total, (e + len(ladder)) * half_ln + abs(ln_pre) + abs(g)
+
+
+def _kernel_tail(pair: ShapePair, x0: float):
+    """S(x0) = P(X_a X_b > x0) for unit-rate gammas of the pair's shapes, x0 >= 6.
+
+    Shape reduction: Q(s + 1, y) = Q(s, y) + y^s e^{-y} / Gamma(s + 1) (DLMF
+    8.8.6), taken n_a times in X_a and then n_b times in X_b, and
+    E[X^{-s} e^{-x/X}] = 2 x^{(mu-s)/2} K_{mu-s}(2 sqrt x) / Gamma(mu) for
+    X ~ Gamma(mu) (DLMF 10.32.10) give, with t0 = 2 sqrt(x0),
+
+        S = sum_{k<n_a} 2 x0^{(mu_b+f_a+k)/2} K_{mu_b-f_a-k}(t0) / (Gamma(mu_b) Gamma(f_a+k+1))
+          + sum_{k<n_b} 2 x0^{(f_a+f_b+k)/2} K_{f_a-f_b-k}(t0) / (Gamma(f_a) Gamma(f_b+k+1))
+          + P(Y_a Y_b > x0),   Y ~ Gamma(f).
+
+    An integer shape a (f_a = 0) leaves the first sum alone, the Erlang sum
+    of the Rayleigh, Weibull and Nakagami-m presets.  With c = f_b - f_a in
+    [0, 1) every order is c + j off one ``_bessel_k_scaled`` ladder, but for
+    the first sum's orders past its crossing of 0 (mu 1.5 / 3), which take a
+    second ladder at 1 - c.  Each term is exp of its log parts times
+    e^{t0} K, in range up to MAX_SHAPE.  The residual has both shapes in
+    (0, 1); in t = t0 + s it is 2^{2-2r} e^{-t0} / (Gamma(f_a) Gamma(f_b))
+    Int_0^inf e^{-s} t^{2r-1} (e^t K_c(t)) ds with r = (f_a + f_b) / 2,
+    which a fixed 20-point Gauss-Laguerre rule (Abramowitz & Stegun 25.4.45)
+    sums to within _RESIDUAL_RULE_ERR.
+
+    The error is twice the roundoff of the largest exponent, whose parts
+    reach ``mag``, plus the error of its ``ln_gamma`` parts (up to
+    47 + 2 |ln Gamma| ulp, counted in ``mag``), 4 EPS per unit of
+    mu_a + mu_b for the terms and ladder steps, and the rule's error on the
+    residual.  Returns (S, abs error, True).
+    """
+    a, b = pair.a, pair.b
     t0 = 2.0 * math.sqrt(x0)
-    if t0 > 800.0:
-        return 0.0, 0.0, True
-    m = _noise_integer(sigma - 0.5 * delta, sigma + delta)
-    if m is not None and m >= 1:
-        # e^{t0} K at the orders delta + 1 .. delta + m
-        ladder = _bessel_k_scaled(delta + 1.0, t0, m)
-        half_ln = 0.5 * math.log(x0)
-        total = 0.0
-        ln_fact = 0.0
-        mag = 0.0
-        for k in range(m):
-            if k:
-                ln_fact += math.log(k)
-            a = (m + delta + k) * half_ln
-            total += math.exp(a - t0 - ln_fact) * ladder[m - 1 - k]
-            mag = max(mag, a + t0 + ln_fact)
-        value = 2.0 * math.factorial(m - 1) * total
-        err = (16.0 + 4.0 * (m + delta) + 2.0 * mag) * EPS * value
-        return value, err, True
-    p = 2.0 * sigma - 1.0
-    scale = 2.0 ** (2.0 - 2.0 * sigma)
-
-    def rule(nodes, weights):
-        total = 0.0
-        for s, w in zip(nodes, weights):
-            t = t0 + s
-            total += w * math.exp(p * math.log(t) - t0) * _bessel_k_scaled(delta, t)
-        return total
-
-    val = rule(*_LAGUERRE_20)
-    exponent = t0 + abs(p) * math.log(t0 + _LAGUERRE_20[0][-1])
-    err = abs(val - rule(*_LAGUERRE_16)) + (20.0 + exponent) * EPS * val
-    if err <= 1e-12 * val:
-        return scale * val, scale * err, True
-
-    def f(t):
-        if t > 800.0:
-            return 0.0
-        return math.exp(p * math.log(t) - t) * _bessel_k_scaled(delta, t)
-
-    settings = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-12, max_subdivisions=400)
-    val, err, ok = integrate_to_infinity(f, t0, settings,
-                                         breakpoints=(t0 + 2.0, t0 + 8.0, t0 + 25.0, t0 + 60.0))
-    return scale * val, scale * err, ok
+    half_ln = 0.5 * math.log(x0)
+    c = b.f - a.f
+    # the first sum's orders c + n_b - k run down its ladder to j = lo
+    lo = 0 if a.f and b.n else max(0, b.n - a.n + 1)
+    up = _bessel_k_scaled(c + lo, t0, b.n - lo + 1) if a.n or b.n else []
+    down = _bessel_k_scaled(1.0 - c, t0, a.n - b.n - 1) if a.n > b.n + 1 else []
+    ladder = up[::-1] + down if down else up[:-a.n - 1:-1]   # the first sum's n_a orders
+    first, mag = _bessel_sum(b.mu + a.f, half_ln, -t0 - b.ln_gamma_mu, a.f,
+                             a.ln_gamma_f + math.log(a.f) if a.f else 0.0, ladder)
+    mag += abs(b.ln_gamma_mu) + 24.0
+    if not a.f:
+        value = 2.0 * first
+        return value, (16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * value, True
+    lg = abs(a.ln_gamma_f) + abs(b.ln_gamma_f)
+    second, mag_b = _bessel_sum(a.f + b.f, half_ln, -t0 - a.ln_gamma_f, b.f,
+                                b.ln_gamma_f + math.log(b.f), up[:b.n])
+    mag = max(mag + abs(a.ln_gamma_f) + 24.0, mag_b + lg + 48.0)
+    p = a.f + b.f - 1.0
+    ln_pre = (1.0 - p) * _LN2 - a.ln_gamma_f - b.ln_gamma_f - t0
+    nodes, weights = _LAGUERRE_20
+    res = 0.0
+    for s, w in zip(nodes, weights):
+        t = t0 + s
+        res += w * math.exp(p * math.log(t) + ln_pre) * _bessel_k_scaled(c, t)
+    mag_res = abs(p) * math.log(t0 + nodes[-1]) + abs(ln_pre) + lg + 48.0
+    sums = 2.0 * (first + second)
+    err = ((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * sums
+           + (_RESIDUAL_RULE_ERR + (40.0 + 2.0 * mag_res) * EPS) * res)
+    return sums + res, err, True
 
 
-def _g_complement(delta: float, sigma: float, x: float):
-    """Large-argument path: G = x^{-s} (Gamma(s+d/2) Gamma(s-d/2) - tail).
+def _g_complement(pair: ShapePair, x: float):
+    """Large-argument path: F_Z = 1 - S(x), (value, abs error, converged).
 
-    ``full`` carries the roundoff of its two ln_gamma terms as relative
-    error.  Each is bounded by 64 EPS + 2 EPS |ln Gamma| (against mpmath
-    over 0.5 to 400 the error reaches 47 EPS + 2 EPS |ln Gamma|); 8 EPS
-    more covers exp, the subtraction and x^{-s}.  The tail's own error is
-    certified where it is computed.
+    S is ``_kernel_tail``'s normalised survival, so neither x^sigma nor
+    Gamma(mu1) Gamma(mu2) is formed.  1 - S keeps the absolute accuracy of
+    S plus one rounding; where F_Z is tiny it has no relative accuracy.
     """
-    ln_hi = ln_gamma(sigma + delta / 2.0)
-    ln_lo = ln_gamma(sigma - delta / 2.0)
-    full = math.exp(ln_hi + ln_lo)
-    tail, terr, ok = _kernel_tail(delta, sigma, x)
-    xs = x ** (-sigma)
-    value = xs * (full - tail)
-    full_err = (136.0 + 2.0 * (abs(ln_hi) + abs(ln_lo))) * EPS * full
-    err = xs * (full_err + terr)
-    return value, err, ok
+    tail, err, ok = _kernel_tail(pair, x)
+    value = 1.0 - tail
+    return value, err + EPS * abs(value), ok
 
 
 def _g_kernel_quadrature(delta: float, sigma: float, x: float):
@@ -656,33 +698,45 @@ def _g_near_integer(delta: float, sigma: float, x: float):
     return p7, err, all(e[2] for e in evals)
 
 
-def _g2131_eval(delta: float, sigma: float, x: float):
-    """Route the restricted G; every route returns (value, abs error, converged).
+def _g_series(delta: float, sigma: float, x: float):
+    """The restricted G by its ascending series, x <= _X_SERIES_MAX.
 
-    A gap within a few ulps of an integer (2.2 - 1.2) takes the log-series,
-    and a gap from there to _NEAR_INTEGER off an integer is interpolated
-    across the gap.  A series term past the double range, such as
-    x^{-delta/2} for a gap above about 20 at small x, leaves no value:
-    (inf, inf, False).
+    Every route returns (value, abs error, converged).  A gap within a few
+    ulps of an integer (2.2 - 1.2) takes the log-series, and a gap from there
+    to _NEAR_INTEGER off an integer is interpolated across the gap.  A
+    series term past the double range, such as x^{-delta/2} for a gap above
+    about 20 at small x, leaves no value: (inf, inf, False).
     """
     delta = abs(delta)
-    if x > _X_SERIES_MAX:
-        return _g_complement(delta, sigma, x)
     d_int = _noise_integer(delta, sigma + delta)
     try:
         if d_int is not None:
-            result = _g_series_integer(d_int, sigma, x)
-        elif abs(delta - round(delta)) < _NEAR_INTEGER:
-            result = _g_near_integer(delta, sigma, x)
-        else:
-            result = _g_series_noninteger(delta, sigma, x)
+            return _g_series_integer(d_int, sigma, x)
+        if abs(delta - round(delta)) < _NEAR_INTEGER:
+            return _g_near_integer(delta, sigma, x)
+        return _g_series_noninteger(delta, sigma, x)
     except OverflowError:
         return math.inf, math.inf, False
-    value, err, _ = result
-    if err > 3e-9 * abs(value) and x >= 6.0:
-        # series cancellation is marginal here; the complement route is
-        # well conditioned once the CDF mass below x is non-negligible
-        complement = _g_complement(delta, sigma, x)
-        if complement[2] and complement[1] < err:
+
+
+def _g2131_eval(pair: ShapePair, x: float):
+    """F_Z at kernel argument x: x^sigma G(x) / (Gamma(mu1) Gamma(mu2)).
+
+    Returns (value, abs error, converged).  Past _X_SERIES_MAX the value is
+    ``_g_complement``'s 1 - S; below it, the series G scaled.  From x = 6,
+    where the series cancellation is marginal and the CDF mass below x is
+    non-negligible, the complement replaces a series value whose error it
+    beats.
+    """
+    if x > _X_SERIES_MAX:
+        return _g_complement(pair, x)
+    gval, gerr, ok = _g_series(pair.delta, pair.sigma, x)
+    norm = math.exp(-pair.ln_norm)
+    xs = x ** pair.sigma
+    value = xs * gval * norm
+    err = xs * gerr * norm + 4.0 * EPS * abs(value)
+    if gerr > 3e-9 * abs(gval) and x >= 6.0:
+        complement = _g_complement(pair, x)
+        if complement[1] < err:
             return complement
-    return result
+    return value, err, ok

@@ -25,7 +25,7 @@ from fdrelay.cli import (
     main,
     _parse_sweep_flag,
 )
-from fdrelay import specfun
+from fdrelay import quadrature, specfun
 from fdrelay.errors import ScenarioError
 from fdrelay.mcsim import simulate_outage
 from fdrelay.outage import outage_af, outage_df
@@ -435,6 +435,17 @@ def test_infinite_scenario_value_exits_2(tmp_path, capsys, method, key, value):
     _assert_config_error(code, capsys, key, "finite")
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("flag", ["--mu", "--eta", "--power", "--rate", "--lbi-r-hat"])
+def test_non_finite_flag_exits_2(capsys, flag, value):
+    # argparse's float() takes inf and nan; left to the engines they ended in
+    # a traceback (--mu inf), in exit 3 (--power inf) or in rows (--lbi-r-hat
+    # inf)
+    code = main(["--preset", "rayleigh", "--method", "both", "--samples", "10000",
+                 f"{flag}={value}"])
+    _assert_config_error(code, capsys, flag, "finite")
+
+
 @pytest.mark.parametrize("distance", [1e200, 1e-200])
 @pytest.mark.parametrize("method", ["analytic", "mc"])
 def test_path_loss_product_out_of_range_exits_2(tmp_path, capsys, distance, method):
@@ -445,23 +456,27 @@ def test_path_loss_product_out_of_range_exits_2(tmp_path, capsys, distance, meth
 
 
 def _count_tail_fallbacks(monkeypatch):
-    """The start points of every adaptive kernel-tail integral from now on."""
-    real = specfun.integrate_to_infinity
+    """The start points of every adaptive integral to infinity from now on.
+
+    The kernel tail has none: its shape reduction is finite sums and a
+    fixed rule, so any call here is a regression.
+    """
+    real = quadrature.integrate_to_infinity
     starts = []
 
     def counted(*args, **kwargs):
         starts.append(args[1])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(specfun, "integrate_to_infinity", counted)
+    monkeypatch.setattr(quadrature, "integrate_to_infinity", counted)
     return starts
 
 
-def _assert_large_shape_rows(tmp_path, capsys, mu):
+def _assert_large_shape_rows(tmp_path, capsys, mu, mu2=None):
     # exit 0, DF <= AF, and each row within 4 sigma of 1e6 exact draws
     cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
                hop1_fading={"alpha": 2.0, "mu": mu, "r_hat": 1.0},
-               hop2_fading={"alpha": 2.0, "mu": mu, "r_hat": 1.0})
+               hop2_fading={"alpha": 2.0, "mu": mu if mu2 is None else mu2, "r_hat": 1.0})
     code = _scenario_main(tmp_path, {"id": f"mu{mu}", "config": cfg}, "--method", "analytic")
     assert code == 0
     rows = {r.mode: r for r in rows_from_csv(capsys.readouterr().out)}
@@ -473,21 +488,44 @@ def _assert_large_shape_rows(tmp_path, capsys, mu):
 
 
 def test_large_hop_shapes_match_monte_carlo(tmp_path, monkeypatch, capsys):
-    # non-integer hop shapes 60.5/60.5 send the clamp search through the
-    # adaptive kernel tail, whose integrand t^{2 sigma - 1} must not
-    # overflow on its own
+    # non-integer hop shapes 60.5/60.5 take the shape-reduced tail: two
+    # ladder sums and the residual, with no adaptive integral
     fallbacks = _count_tail_fallbacks(monkeypatch)
     _assert_large_shape_rows(tmp_path, capsys, 60.5)
-    assert fallbacks
+    assert not fallbacks
 
 
 @pytest.mark.parametrize("mu", [60.0, 63.0])
 def test_integer_hop_shapes_sum_the_tail_in_closed_form(tmp_path, monkeypatch, capsys, mu):
-    # an integer smaller shape takes the finite Erlang sum at every tail:
-    # no adaptive fallback, and 63/63 no longer overflows in it
+    # an integer shape takes the finite Erlang sum at every tail: no
+    # adaptive integral, and 63/63 no longer overflows in it
     fallbacks = _count_tail_fallbacks(monkeypatch)
     _assert_large_shape_rows(tmp_path, capsys, mu)
     assert not fallbacks
+
+
+@pytest.mark.parametrize("mu1, mu2", [(62.5, 62.5), (63.5, 63.5), (0.5, 115.5), (90.5, 90.5),
+                                      (74.0, 74.0), (99.0, 99.0), (100.0, 100.0)])
+def test_large_hop_shapes_give_rows(tmp_path, monkeypatch, capsys, mu1, mu2):
+    # these ended in OverflowError: in the adaptive tail fallback, in the
+    # Gauss-Laguerre rule, at x^sigma or at exp(ln Gamma(mu1) + ln Gamma(mu2));
+    # the shape-reduced tail forms none of them
+    fallbacks = _count_tail_fallbacks(monkeypatch)
+    _assert_large_shape_rows(tmp_path, capsys, mu1, mu2)
+    assert not fallbacks
+
+
+def test_hop_shape_past_the_bessel_range_exits_2(tmp_path, capsys):
+    # past shape 200 a Bessel ladder term of the tail leaves the double range
+    # at kernel argument 6: a configuration error naming the bound for the
+    # analytic engines, while the sampler takes any shape
+    cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 200.5, "r_hat": 1.0})
+    code = _scenario_main(tmp_path, {"id": "big", "config": cfg}, "--method", "analytic")
+    _assert_config_error(code, capsys, "200.5", "up to 200")
+    code = _scenario_main(tmp_path, {"id": "big", "config": cfg}, "--method", "mc",
+                          "--samples", "10000")
+    assert code == 0
+    assert len(rows_from_csv(capsys.readouterr().out)) == 2
 
 
 def test_mixed_alpha_scenario(tmp_path):
@@ -539,18 +577,17 @@ def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
 
 
 def test_unconverged_kernel_tail_exits_3_with_rows(tmp_path, monkeypatch, capsys):
-    # shapes 25.5/25.5 send large F_Z arguments through the complement, whose
-    # tail falls back to the adaptive integral (an integer smaller shape
-    # would take the closed-form sum); make that integral report failure
-    real = specfun.integrate_to_infinity
+    # shapes 25.5/25.5 send large F_Z arguments through the complement 1 - S;
+    # make the shape-reduced tail S report failure with its best value
+    real = specfun._kernel_tail
     calls = []
 
-    def failing(*args, **kwargs):
-        value, err, _ = real(*args, **kwargs)
-        calls.append(args[1])
+    def failing(pair, x0):
+        value, err, _ = real(pair, x0)
+        calls.append(x0)
         return value, err, False
 
-    monkeypatch.setattr(specfun, "integrate_to_infinity", failing)
+    monkeypatch.setattr(specfun, "_kernel_tail", failing)
     cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
                hop1_fading={"alpha": 2.0, "mu": 25.5, "r_hat": 1.0},
                hop2_fading={"alpha": 2.0, "mu": 25.5, "r_hat": 1.0})

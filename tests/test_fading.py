@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
+from fdrelay import specfun
 from fdrelay.errors import DomainError
 from fdrelay.fading import (
     AlphaMuParams,
@@ -216,6 +217,22 @@ def test_cdf_product_dual_route_spot_grid():
                 a = cdf_product(pp, float(z))
                 b = _cdf_product_quadrature(pp, float(z))[0]
                 assert abs(a - b) <= 1e-7, (mu1, mu2, alpha, z)
+
+
+def test_quadrature_route_never_calls_the_series(disable):
+    # the dual route of F_Z shares no code with the series routes: the
+    # quadrature still runs when they raise
+    pps = [_pp(alpha, mu1, mu2) for mu1, mu2 in ((0.5, 0.5), (1.0, 2.0), (3.5, 1.5))
+           for alpha in (1.0, 2.0)]
+    disable(specfun, ["_g2131_eval", "_g_series", "_g_series_integer",
+                      "_g_series_noninteger", "_g_near_integer", "_g_complement",
+                      "_kernel_tail"])
+    with pytest.raises(AssertionError, match="specfun"):
+        _cdf_product_meijer(pps[0], 1.0)
+    for pp in pps:
+        for z in (1e-3, 1.0, 30.0):
+            value, err, ok = _cdf_product_quadrature(pp, z)
+            assert ok and 0.0 <= value <= 1.0 and math.isfinite(err)
 
 
 def test_cdf_product_derivative_matches_pdf():

@@ -1,8 +1,10 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from fdrelay import specfun
 from fdrelay.errors import DomainError
 from fdrelay.mcsim import (
     _BLOCK,
@@ -143,3 +145,16 @@ def test_three_sigma_coverage_over_seeds():
         if abs(est.p_hat - ref) <= 3.0 * est.stderr:
             hits += 1
     assert hits >= 99
+
+
+def test_simulate_grid_never_calls_specfun(disable):
+    # the Monte Carlo leg shares no code with the special functions: it
+    # still runs when every function of fdrelay.specfun raises
+    cfgs = [preset_config(name, target_rate=rate)
+            for name in ("rayleigh", "weibull", "nakagami") for rate in (1.0, 3.0)]
+    disable(specfun, [name for name, value in vars(specfun).items()
+                      if inspect.isfunction(value) and value.__module__ == specfun.__name__])
+    with pytest.raises(AssertionError, match="specfun"):
+        outage_df(cfgs[0])
+    est = simulate_grid(cfgs, ("df", "af"), 10_000, 7)
+    assert all(0.0 <= e.p_hat <= 1.0 and e.n_samples == 10_000 for row in est for e in row)

@@ -5,7 +5,7 @@ from scipy import integrate, special
 
 from fdrelay import outage, specfun
 from fdrelay.errors import DomainError
-from fdrelay.fading import ProductDistParams, cdf_product, pdf_power, cdf_power
+from fdrelay.fading import ProductDistParams, cdf_product, pdf_power, cdf_power, _cdf_product_meijer
 from fdrelay.outage import OutageResult, outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
 from fdrelay.quadrature import QuadratureSettings
@@ -106,6 +106,32 @@ def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
         assert ref.converged and not res.converged
         assert res.value == ref.value
         assert res.numeric_error == ref.numeric_error
+
+
+@pytest.mark.parametrize("mu3", [0.5, 1.0, 2.0])
+def test_af_lower_integrand_takes_its_limit_at_zero(monkeypatch, mu3):
+    # the lower half runs in the loop-back's gamma space w; at w = 0 its
+    # integrand is the density's limit (+inf, 1, 0 as mu3 is below, at or
+    # above 1) times F_Z at v = 0, where math.log(0) raised before
+    real = outage.integrate_adaptive
+    at_zero = []
+
+    def zero_first(f, a, b, *args, **kwargs):
+        if not at_zero:   # the first integral is the lower half, from w = 0
+            at_zero.append(f(a))
+        return real(f, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(outage, "integrate_adaptive", zero_first)
+    cfg = preset_config("nakagami", target_rate=2.0)
+    cfg = dataclasses.replace(cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, mu=mu3))
+    res = outage_af(cfg)
+    assert 0.0 <= res.value <= 1.0
+    c = derive_constants(cfg)
+    pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
+    f_z0 = _cdf_product_meijer(pp, c.nu * c.beta4 / c.beta1)[0]
+    assert 0.0 < f_z0 < 1.0
+    # at mu3 = 1 the density's limit is 1 / Gamma(1), from ln_gamma(1) ~ 0
+    assert at_zero == [pytest.approx({0.5: math.inf, 1.0: f_z0, 2.0: 0.0}[mu3], rel=1e-14)]
 
 
 def test_outage_high_snr_examples():
