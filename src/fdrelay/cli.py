@@ -25,7 +25,7 @@ import sys
 import time
 
 from .errors import DomainError, ScenarioError
-from .fading import AlphaMuParams
+from .fading import AlphaMuParams, ProductDistParams
 from .mcsim import simulate_grid
 from .outage import outage_af, outage_df, outage_high_snr
 from .presets import PRESET_NAMES, preset_config
@@ -34,7 +34,7 @@ from .relaysys import SystemConfig
 SWEEP_PARAMETERS = ("target_rate", "source_power", "alpha", "mu", "eh_time_fraction")
 MAX_SWEEP_POINTS = 10_000
 
-_FADING_KEYS = {f.name for f in dataclasses.fields(AlphaMuParams)}
+_FADING_KEYS = {f.name for f in dataclasses.fields(AlphaMuParams) if f.init}
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(SystemConfig) if f.init}
 _BRANCHES = ("hop1_fading", "hop2_fading", "lbi_fading")
 
@@ -216,6 +216,10 @@ def compute_rows(scenario: Scenario, modes, methods, samples: int, seed: int):
     else:
         grid = [(v, apply_sweep_value(scenario.config, sweep.parameter, v))
                 for v in sweep.values()]
+    if "analytic" in methods:
+        # the kernel's per-pair state, built and checked before any MC draw
+        for _, cfg in grid:
+            ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     mc = None
     if "mc" in methods:
         t0 = time.perf_counter()

@@ -31,6 +31,9 @@ from .specfun import (
     shape_pair,
     _g2131_eval,
     _kernel_tail,
+    # the clamp is kept in each memoised shape pair, so clearing the memo
+    # under this name makes the next clamp search cold
+    _PAIRS as _CLAMP_CACHE,
 )
 
 
@@ -45,6 +48,7 @@ class AlphaMuParams:
     alpha: float
     mu: float
     r_hat: float = 1.0
+    ln_gamma_mu: float = field(init=False, repr=False, compare=False)  # ln Gamma(mu)
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -53,6 +57,7 @@ class AlphaMuParams:
             raise DomainError(f"mu must be >= 0.5, got {self.mu}")
         if not self.r_hat > 0.0:
             raise DomainError(f"r_hat must be positive, got {self.r_hat}")
+        object.__setattr__(self, "ln_gamma_mu", ln_gamma(self.mu))
 
 
 def power_rate(p: AlphaMuParams) -> float:
@@ -75,22 +80,15 @@ class ProductDistParams:
     hop1: AlphaMuParams
     hop2: AlphaMuParams
     lam12: float = field(init=False)    # lam1 * lam2
-    sigma: float = field(init=False)    # (mu1 + mu2) / 2
-    delta: float = field(init=False)    # |mu1 - mu2|, the Bessel order
-    ln_norm: float = field(init=False)  # ln Gamma(mu1) + ln Gamma(mu2)
-    shapes: ShapePair = field(init=False)  # the kernel's per-pair constants
+    shapes: ShapePair = field(init=False, repr=False, compare=False)  # the kernel's per-pair state
 
     def __post_init__(self):
         if self.hop1.alpha != self.hop2.alpha:
             raise DomainError(
                 f"closed-form product requires equal alphas, got "
                 f"{self.hop1.alpha} and {self.hop2.alpha}")
-        shapes = shape_pair(self.hop1.mu, self.hop2.mu)
+        object.__setattr__(self, "shapes", shape_pair(self.hop1.mu, self.hop2.mu))
         object.__setattr__(self, "lam12", power_rate(self.hop1) * power_rate(self.hop2))
-        object.__setattr__(self, "sigma", shapes.sigma)
-        object.__setattr__(self, "delta", shapes.delta)
-        object.__setattr__(self, "ln_norm", shapes.ln_norm)
-        object.__setattr__(self, "shapes", shapes)
 
     def kernel_arg(self, z: float) -> float:
         """x = lam1 lam2 z^{alpha/2}, the argument of the F_Z kernel.
@@ -112,7 +110,7 @@ def pdf_envelope(p: AlphaMuParams, r: float) -> float:
         raise DomainError(f"pdf_envelope requires r > 0, got {r}")
     am = p.alpha * p.mu
     ln_f = (math.log(p.alpha) + p.mu * math.log(p.mu) + (am - 1.0) * math.log(r)
-            - am * math.log(p.r_hat) - ln_gamma(p.mu)
+            - am * math.log(p.r_hat) - p.ln_gamma_mu
             - p.mu * (r / p.r_hat) ** p.alpha)
     return math.exp(ln_f) if ln_f > -745.0 else 0.0
 
@@ -137,7 +135,7 @@ def pdf_power(p: AlphaMuParams, x: float) -> float:
     lam = power_rate(p)
     half_am = 0.5 * p.alpha * p.mu
     ln_f = (math.log(0.5 * p.alpha) + p.mu * math.log(lam)
-            + (half_am - 1.0) * math.log(x) - ln_gamma(p.mu)
+            + (half_am - 1.0) * math.log(x) - p.ln_gamma_mu
             - lam * x ** (0.5 * p.alpha))
     return math.exp(ln_f) if ln_f > -745.0 else 0.0
 
@@ -173,35 +171,30 @@ def pdf_product(pp: ProductDistParams, z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"pdf_product requires z > 0, got {z}")
     a = pp.hop1.alpha
-    kval = bessel_k(pp.delta, 2.0 * math.sqrt(pp.kernel_arg(z)))
+    kval = bessel_k(pp.shapes.delta, 2.0 * math.sqrt(pp.kernel_arg(z)))
     if kval == 0.0:
         return 0.0
-    ln_f = (math.log(a) + pp.sigma * math.log(pp.lam12)
-            + (0.5 * a * pp.sigma - 1.0) * math.log(z)
-            + math.log(kval) - pp.ln_norm)
+    ln_f = (math.log(a) + pp.shapes.sigma * math.log(pp.lam12)
+            + (0.5 * a * pp.shapes.sigma - 1.0) * math.log(z)
+            + math.log(kval) - pp.shapes.ln_norm)
     return math.exp(ln_f) if ln_f > -745.0 else 0.0
-
-
-_CLAMP_CACHE: dict = {}
 
 
 def product_arg_clamp(pp: ProductDistParams) -> float:
     """Smallest kernel argument x beyond which 1 - F_Z < 1e-14.
 
     The survival 1 - F_Z is the kernel tail S; found once per shape pair by
-    expanding search and cached.
+    expanding search and kept in the pair's state.
     """
-    key = tuple(sorted((pp.hop1.mu, pp.hop2.mu)))
-    hit = _CLAMP_CACHE.get(key)
-    if hit is not None:
-        return hit
-    x = 40.0
-    for _ in range(40):
-        if _kernel_tail(pp.shapes, x)[0] < 1e-14:
-            break
-        x *= 1.6
-    _CLAMP_CACHE[key] = x
-    return x
+    pair = pp.shapes
+    if pair.clamp is None:
+        x = 40.0
+        for _ in range(40):
+            if _kernel_tail(pair, x)[0] < 1e-14:
+                break
+            x *= 1.6
+        pair.clamp = x
+    return pair.clamp
 
 
 def _cdf_product_meijer(pp: ProductDistParams, z: float):
@@ -231,14 +224,14 @@ def _cdf_product_quadrature(pp: ProductDistParams, z: float):
     The independent reference the tests hold ``cdf_product`` against.
     """
     ll = pp.lam12
-    sigma = pp.sigma
-    norm = 2.0 * ll ** sigma * math.exp(-pp.ln_norm)
+    sigma, delta = pp.shapes.sigma, pp.shapes.delta
+    norm = 2.0 * ll ** sigma * math.exp(-pp.shapes.ln_norm)
     # beyond arg ~ 900 the Bessel factor underflows to exactly zero
     t_max = min(z ** (0.5 * pp.hop1.alpha), 450.0 ** 2 / ll)
 
     def f(t):
         arg = 2.0 * math.sqrt(ll * t)
-        kv = bessel_k(pp.delta, arg)
+        kv = bessel_k(delta, arg)
         if kv == 0.0:
             return 0.0
         ln_f = (sigma - 1.0) * math.log(t) + math.log(kv)

@@ -31,7 +31,7 @@ from .fading import (
 )
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .relaysys import SystemConfig, derive_constants
-from .specfun import EPS, ln_gamma
+from .specfun import EPS
 
 DF_ANALYTIC = "df_analytic"
 AF_ANALYTIC = "af_analytic"
@@ -94,7 +94,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     lam3 = power_rate(lbi)
     a3 = lbi.alpha
     mu3 = lbi.mu
-    inv_gamma3 = math.exp(-ln_gamma(mu3))
+    inv_gamma3 = math.exp(-lbi.ln_gamma_mu)
 
     f_z_failed = []
 

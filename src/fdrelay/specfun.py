@@ -30,8 +30,8 @@ Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
 1e-8 relative on its restricted parameter pattern for argument in
 [1e-10, 1e4] and returns its own error estimate with a converged flag.  The
-kernel takes hop shapes up to MAX_SHAPE.  All functions are pure and
-reentrant.
+kernel takes hop shapes up to MAX_SHAPE.  ``shape_pair`` memoises each
+pair's state, at most _PAIRS_MAX pairs; no value depends on the memo.
 """
 
 from __future__ import annotations
@@ -376,16 +376,37 @@ def _noise_integer(v: float, scale: float):
     return n if abs(v - n) <= 2.0 * EPS * scale else None
 
 
-def _g_series_noninteger(delta: float, sigma: float, x: float):
-    """Two-branch ascending series, requires delta away from the integers.
+class SeriesState:
+    """What the series routes share at gap delta and mean shape sigma, for every x."""
+
+    # The route is chosen once, as ``_g_series`` documents; ``d`` is the
+    # integer gap of the log-series, which also anchors the interpolation
+    # across a near-integer gap.  The log-series terms that do not depend on
+    # x are built on first use, its per-k weights only as far as k reaches.
+    def __init__(self, delta: float, sigma: float):
+        self.delta = delta = abs(delta)
+        self.sigma = sigma
+        d = _noise_integer(delta, sigma + delta)
+        self.d = round(delta) if d is None else d
+        self.route = ("log" if d is not None else
+                      "near" if abs(delta - self.d) < _NEAR_INTEGER else "two")
+        # log-series (1 / d!, [(coefficient, exponent, divisor)] of the d simple poles)
+        self.log = None
+        # log-series [(k (d + k), psi(k+1) + psi(d+k+1), 1 / c, c)], c = sigma + k + d/2
+        self.weights = []
+        self.gammas = {}    # two-branch gap -> (Gamma(-gap), Gamma(gap))
+
+
+def _g_series_noninteger(s: SeriesState, delta: float, x: float):
+    """Two-branch ascending series at gap delta, away from the integers.
 
     Returns (value, abs error estimate, True).
     """
     delta = abs(delta)
-    if delta == 0.0:
-        raise ValueError("delta must be nonzero for the two-branch series")
-    g_minus = gamma_fn(-delta)
-    g_plus = gamma_fn(delta)
+    sigma = s.sigma
+    if delta not in s.gammas:
+        s.gammas[delta] = (gamma_fn(-delta), gamma_fn(delta))
+    g_minus, g_plus = s.gammas[delta]
     k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
 
     def branch(b_h, pochh_shift):
@@ -417,38 +438,43 @@ def _g_series_noninteger(delta: float, sigma: float, x: float):
     return value, err, True
 
 
-def _g_series_integer(d: int, sigma: float, x: float):
+def _g_series_integer(s: SeriesState, d: int, x: float):
     """Confluent (logarithmic) series for integer branch separation d >= 0.
 
     The collided poles contribute digamma and ln x terms; the d leading
     poles below the collision stay simple.  Returns (value, err, True).
     """
+    if s.log is None:
+        # past d = 170 the factorials overflow, as the terms would
+        s.log = (1.0 / math.factorial(d),
+                 [(((-1.0) ** j) * math.factorial(d - 1 - j) / math.factorial(j),
+                   j - d / 2.0, s.sigma + j - d / 2.0) for j in range(d)])
+    term, poles = s.log
     lnx = math.log(x)
     total = 0.0
     mag = 0.0
-    for j in range(d):
-        t = ((-1.0) ** j) * math.factorial(d - 1 - j) / math.factorial(j) \
-            * x ** (j - d / 2.0)
-        t /= (sigma + j - d / 2.0)
+    for coef, e, div in poles:
+        t = coef * x ** e
+        t /= div
         total += t
         mag = max(mag, abs(t))
-    sign = -1.0 if d % 2 else 1.0
-    xp = x ** (d / 2.0)
-    term = 1.0 / math.factorial(d)
+    sxp = (-1.0 if d % 2 else 1.0) * x ** (d / 2.0)
     k_decay = 2.0 * math.sqrt(x) + 4.0
-    used = 0
+    weights = s.weights
     for k in range(0, 600):
+        if k == len(weights):
+            c = s.sigma + k + d / 2.0
+            weights.append((float(k * (d + k)), _digamma_int(k + 1) + _digamma_int(d + k + 1),
+                            1.0 / c, c))
+        kd, psi, inv_c, c = weights[k]
         if k > 0:
-            term *= x / (k * (d + k))
-        psi_part = _digamma_int(k + 1) + _digamma_int(d + k + 1) - lnx
-        c = sigma + k + d / 2.0
-        contrib = sign * xp * term * (psi_part + 1.0 / c) / c
+            term *= x / kd
+        contrib = sxp * term * (psi - lnx + inv_c) / c
         total += contrib
         mag = max(mag, abs(contrib))
-        used = k
         if k > k_decay and abs(contrib) < abs(total) * EPS:
             break
-    err = (32.0 + 2.0 * used) * EPS * (mag + abs(total))
+    err = (32.0 + 2.0 * k) * EPS * (mag + abs(total))
     return total, err, True
 
 
@@ -500,6 +526,10 @@ _RESIDUAL_RULE_ERR = 1e-13
 # t0 = 2 sqrt(6), and order 207 leaves the double range there
 MAX_SHAPE = 200.0
 
+# shape_pair's memo, (mu1, mu2) -> ShapePair, and its bound in pairs
+_PAIRS: dict = {}
+_PAIRS_MAX = 256
+
 
 class ReducedShape(NamedTuple):
     """mu = f + n, n an integer and f in [0, 1); f = 0 for an integer up to float noise."""
@@ -511,14 +541,18 @@ class ReducedShape(NamedTuple):
     ln_gamma_f: float   # inf for f = 0, where 1 / Gamma(f) = 0
 
 
-class ShapePair(NamedTuple):
-    """The two shapes of F_Z's kernel and the constants every argument shares."""
+class ShapePair(SeriesState):
+    """The two shapes of F_Z's kernel and the state every argument shares."""
 
-    delta: float        # |mu1 - mu2|, the Bessel order of the kernel
-    sigma: float        # (mu1 + mu2) / 2
-    ln_norm: float      # ln Gamma(mu1) + ln Gamma(mu2)
-    a: ReducedShape     # reduced first: an integer shape if any, else the smaller f
-    b: ReducedShape
+    # the series state is at delta = |mu1 - mu2|, the Bessel order of the
+    # kernel, and sigma = (mu1 + mu2) / 2
+    def __init__(self, mu1: float, mu2: float):
+        super().__init__(abs(mu1 - mu2), 0.5 * (mu1 + mu2))
+        r1, r2 = _reduced(mu1), _reduced(mu2)
+        self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
+        # reduced first: an integer shape if any, else the smaller f
+        self.a, self.b = (r1, r2) if (r1.f, r1.n) <= (r2.f, r2.n) else (r2, r1)
+        self.clamp = None   # set by the first fading.product_arg_clamp search
 
 
 def _reduced(mu: float) -> ReducedShape:
@@ -530,16 +564,18 @@ def _reduced(mu: float) -> ReducedShape:
 
 
 def shape_pair(mu1: float, mu2: float) -> ShapePair:
-    """The per-pair constants of F_Z's kernel, computed once per shape pair."""
-    if not max(mu1, mu2) <= MAX_SHAPE:
-        raise DomainError(
-            f"hop shapes {mu1:g} and {mu2:g}: the analytic product CDF takes "
-            f"shapes up to {MAX_SHAPE:g}, past which its Bessel terms leave "
-            f"the double range")
-    r1, r2 = _reduced(mu1), _reduced(mu2)
-    a, b = (r1, r2) if (r1.f, r1.n) <= (r2.f, r2.n) else (r2, r1)
-    return ShapePair(abs(mu1 - mu2), 0.5 * (mu1 + mu2),
-                     r1.ln_gamma_mu + r2.ln_gamma_mu, a, b)
+    """The per-pair state of F_Z's kernel, built once per shape pair and memoised."""
+    pair = _PAIRS.get((mu1, mu2))
+    if pair is None:
+        if not max(mu1, mu2) <= MAX_SHAPE:
+            raise DomainError(
+                f"hop shapes {mu1:g} and {mu2:g}: the analytic product CDF takes "
+                f"shapes up to {MAX_SHAPE:g}, past which its Bessel terms leave "
+                f"the double range")
+        if len(_PAIRS) >= _PAIRS_MAX:
+            del _PAIRS[next(iter(_PAIRS))]   # the oldest
+        pair = _PAIRS[mu1, mu2] = ShapePair(mu1, mu2)
+    return pair
 
 
 def _bessel_sum(e: float, half_ln: float, ln_pre: float, f: float, g: float, ladder):
@@ -669,7 +705,7 @@ def _lagrange(nodes, values, t: float):
     return total, lebesgue
 
 
-def _g_near_integer(delta: float, sigma: float, x: float):
+def _g_near_integer(s: SeriesState, delta: float, x: float):
     """G for a gap 0 < |delta - d| < _NEAR_INTEGER off the integer d, x <= 12.
 
     G is analytic and even in delta, so its value at delta is interpolated
@@ -682,11 +718,11 @@ def _g_near_integer(delta: float, sigma: float, x: float):
     through x^{+-delta/2}: about 1e-10 relative at x = 1e-10 and 2e-8 at
     x = 1e-25 for gaps up to 6 and shapes from 0.5.
     """
-    d = int(round(delta))
+    d = s.d
     h = _INTERP_STEP
     ks = range(7) if d == 0 else range(-3, 4)
-    evals = [_g_series_integer(d, sigma, x) if k == 0
-             else _g_series_noninteger(d + k * h, sigma, x) for k in ks]
+    evals = [_g_series_integer(s, d, x) if k == 0
+             else _g_series_noninteger(s, d + k * h, x) for k in ks]
     values = [e[0] for e in evals]
     if d == 0:
         nodes, t, inner = [(k * h) ** 2 for k in ks], delta * delta, slice(0, 5)
@@ -698,7 +734,7 @@ def _g_near_integer(delta: float, sigma: float, x: float):
     return p7, err, all(e[2] for e in evals)
 
 
-def _g_series(delta: float, sigma: float, x: float):
+def _g_series(s: SeriesState, x: float):
     """The restricted G by its ascending series, x <= _X_SERIES_MAX.
 
     Every route returns (value, abs error, converged).  A gap within a few
@@ -707,14 +743,12 @@ def _g_series(delta: float, sigma: float, x: float):
     series term past the double range, such as x^{-delta/2} for a gap above
     about 20 at small x, leaves no value: (inf, inf, False).
     """
-    delta = abs(delta)
-    d_int = _noise_integer(delta, sigma + delta)
     try:
-        if d_int is not None:
-            return _g_series_integer(d_int, sigma, x)
-        if abs(delta - round(delta)) < _NEAR_INTEGER:
-            return _g_near_integer(delta, sigma, x)
-        return _g_series_noninteger(delta, sigma, x)
+        if s.route == "log":
+            return _g_series_integer(s, s.d, x)
+        if s.route == "near":
+            return _g_near_integer(s, s.delta, x)
+        return _g_series_noninteger(s, s.delta, x)
     except OverflowError:
         return math.inf, math.inf, False
 
@@ -730,11 +764,18 @@ def _g2131_eval(pair: ShapePair, x: float):
     """
     if x > _X_SERIES_MAX:
         return _g_complement(pair, x)
-    gval, gerr, ok = _g_series(pair.delta, pair.sigma, x)
+    gval, gerr, ok = _g_series(pair, x)
     norm = math.exp(-pair.ln_norm)
     xs = x ** pair.sigma
+    lost = 4.0
+    if norm < 2.2250738585072014e-308:
+        # Gamma(mu1) Gamma(mu2) past the double range: x^sigma over it as one
+        # exp, whose exponent's roundoff and ln_gamma error count in err
+        ln_xs = pair.sigma * math.log(x)
+        xs, norm = math.exp(ln_xs - pair.ln_norm), 1.0
+        lost += 48.0 + 2.0 * (abs(ln_xs) + pair.ln_norm)
     value = xs * gval * norm
-    err = xs * gerr * norm + 4.0 * EPS * abs(value)
+    err = xs * gerr * norm + lost * EPS * abs(value)
     if gerr > 3e-9 * abs(gval) and x >= 6.0:
         complement = _g_complement(pair, x)
         if complement[1] < err:

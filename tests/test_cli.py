@@ -528,6 +528,23 @@ def test_hop_shape_past_the_bessel_range_exits_2(tmp_path, capsys):
     assert len(rows_from_csv(capsys.readouterr().out)) == 2
 
 
+def test_hop_shape_past_the_bessel_range_exits_2_before_the_mc_grid(tmp_path, capsys):
+    # under --method both the analytic bound is checked before any draw: one
+    # error line, and no timing line of an MC grid that was run in vain
+    cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 200.5, "r_hat": 1.0})
+    code = _scenario_main(tmp_path, {"id": "big", "config": cfg}, "--method", "both",
+                          "--samples", "10000")
+    _assert_config_error(code, capsys, "200.5", "up to 200")
+
+
+def test_derived_fading_field_is_not_a_scenario_key(tmp_path, capsys):
+    # ln_gamma_mu is derived from mu: as a key of a branch it is unknown
+    hop = dict(GOOD_CONFIG["hop1_fading"], ln_gamma_mu=0.0)
+    code = _scenario_main(tmp_path, {"id": "s", "config": dict(GOOD_CONFIG, hop1_fading=hop)},
+                          "--method", "analytic")
+    _assert_config_error(code, capsys, "hop1_fading", "unknown keys", "ln_gamma_mu")
+
+
 def test_mixed_alpha_scenario(tmp_path):
     # the closed forms need equal hop alphas: analytic methods end in a
     # configuration error, while the exact sampler handles any alpha

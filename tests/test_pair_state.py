@@ -1,0 +1,122 @@
+"""The per-shape-pair kernel state: memoised, bounded, and never a value change.
+
+``specfun.shape_pair`` keeps one state per (mu1, mu2): the series route,
+the log-series weights grown as far as k has reached, Gamma(+-gap) of each
+two-branch gap, and the clamp.  Every F_Z value, error and flag must be the
+same whichever memo the call meets.
+"""
+
+import dataclasses
+
+import pytest
+
+from fdrelay import fading, specfun
+from fdrelay.fading import AlphaMuParams, ProductDistParams, product_arg_clamp, _cdf_product_meijer
+from fdrelay.outage import outage_af, outage_df
+from fdrelay.presets import preset_config
+from fdrelay.specfun import ln_gamma, shape_pair
+
+# one pair per series route; the complement is reached past x = 12 on each
+PAIRS = {"log": (1.0, 3.0), "two": (1.3, 0.7), "near": (1.5, 2.50005)}
+XS = (1e-3, 0.5, 5.0, 8.0, 11.5, 30.0, 400.0)
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    specfun._PAIRS.clear()
+    yield
+    specfun._PAIRS.clear()
+
+
+def _pp(mu1, mu2):
+    return ProductDistParams(AlphaMuParams(2.0, mu1), AlphaMuParams(2.0, mu2))
+
+
+def _fz(mu1, mu2, xs):
+    # at alpha = 2 the kernel argument is lam1 lam2 z, and lam = mu here
+    pp = _pp(mu1, mu2)
+    return [_cdf_product_meijer(pp, x / pp.lam12) for x in xs]
+
+
+def _engines(mu1, mu2):
+    cfg = preset_config("rayleigh", source_power=10.0, target_rate=1.0)
+    cfg = dataclasses.replace(cfg, hop1_fading=AlphaMuParams(2.0, mu1),
+                              hop2_fading=AlphaMuParams(2.0, mu2))
+    return [(r.value, r.numeric_error, r.converged) for r in (outage_df(cfg), outage_af(cfg))]
+
+
+def test_each_pair_takes_its_route():
+    for route, shapes in PAIRS.items():
+        assert shape_pair(*shapes).route == route
+    assert max(XS) > specfun._X_SERIES_MAX
+
+
+def test_fz_is_bit_identical_cold_warm_and_interleaved():
+    cold = {}
+    for name, shapes in PAIRS.items():
+        cold[name] = []
+        for x in XS:
+            specfun._PAIRS.clear()
+            cold[name] += _fz(*shapes, [x])
+    specfun._PAIRS.clear()
+    for name, shapes in PAIRS.items():
+        assert _fz(*shapes, XS) == cold[name], name            # one pair, growing
+        assert _fz(*shapes, XS) == cold[name], name            # warm
+    specfun._PAIRS.clear()
+    a, b = PAIRS["near"], PAIRS["log"]
+    assert _fz(*a, XS[::-1]) == cold["near"][::-1]              # large x first
+    assert _fz(*b, XS) == cold["log"]
+    assert _fz(*a, XS) == cold["near"]
+    assert _fz(*PAIRS["two"], XS[::-1]) == cold["two"][::-1]
+
+
+def test_engines_are_bit_identical_cold_warm_and_interleaved():
+    cold = {}
+    for name, shapes in PAIRS.items():
+        specfun._PAIRS.clear()
+        cold[name] = _engines(*shapes)
+    for name, shapes in PAIRS.items():                          # warm
+        assert _engines(*shapes) == cold[name], name
+    specfun._PAIRS.clear()
+    for name in ("near", "log", "near", "two"):                 # A, B, A
+        assert _engines(*PAIRS[name]) == cold[name], name
+
+
+def test_memo_stays_at_its_bound():
+    n = specfun._PAIRS_MAX
+    keys = [(1.0 + i / 64.0, 2.0) for i in range(2 * n)]
+    for key in keys:
+        shape_pair(*key)
+    assert len(specfun._PAIRS) == n
+    assert list(specfun._PAIRS) == keys[n:]                     # the oldest go first
+    assert shape_pair(*keys[-1]) is specfun._PAIRS[keys[-1]]
+
+
+def test_clearing_the_clamp_cache_makes_the_next_search_cold(monkeypatch):
+    real = fading._kernel_tail
+    calls = []
+
+    def counted(pair, x0):
+        calls.append(x0)
+        return real(pair, x0)
+
+    monkeypatch.setattr(fading, "_kernel_tail", counted)
+    hops = AlphaMuParams(2.0, 1.5), AlphaMuParams(2.0, 2.5)
+    clamp = product_arg_clamp(ProductDistParams(*hops))
+    assert calls
+    calls.clear()
+    assert product_arg_clamp(ProductDistParams(*hops)) == clamp
+    assert not calls
+    fading._CLAMP_CACHE.clear()
+    assert product_arg_clamp(ProductDistParams(*hops)) == clamp
+    assert calls
+
+
+def test_ln_gamma_of_the_shape_is_derived_not_a_field_of_the_branch():
+    p = AlphaMuParams(2.0, 2.5, 0.5)
+    assert p.ln_gamma_mu == ln_gamma(2.5)
+    assert "ln_gamma_mu" not in repr(p)
+    assert p == AlphaMuParams(2.0, 2.5, 0.5) and hash(p) == hash(AlphaMuParams(2.0, 2.5, 0.5))
+    assert dataclasses.replace(p, mu=4.0).ln_gamma_mu == ln_gamma(4.0)
+    with pytest.raises(TypeError):
+        AlphaMuParams(2.0, 2.5, 0.5, 1.0)

@@ -23,6 +23,7 @@ from fdrelay.specfun import (
     ln_gamma,
     reg_lower_gamma,
     shape_pair,
+    SeriesState,
     _LAGUERRE_20,
     _bessel_k_cf2,
     _bessel_k_scaled,
@@ -590,13 +591,27 @@ def test_near_integer_gap_matches_mpmath():
         for mu_min in (0.5, 1.7, 4.5, 8.0):
             sigma = mu_min + delta / 2.0
             for x in (1e-25, 1e-20, 1e-10, 1e-3, 0.5, 3.0, 5.9):
-                value, err, ok = _g_series(delta, sigma, x)
+                value, err, ok = _g_series(SeriesState(delta, sigma), x)
                 ref = meijer_reference(delta, sigma, x)
                 cell = (delta, mu_min, x)
                 assert ok, cell
                 assert abs(value - ref) <= err, cell
                 if x >= 1e-10:
                     assert abs(value - ref) <= 1e-10 * abs(ref), cell
+
+
+def test_large_shapes_keep_f_z_where_the_gamma_norm_underflows():
+    # exp(-ln_norm) leaves the normal range from shape 99 each and is
+    # 0 from 103, where F_Z read 0 with err 0; at 120/120 and x = 12
+    # F_Z is 8.06e-270
+    for mu1, mu2, x in ((120.0, 120.0, 12.0), (119.5, 120.5, 6.0), (104.0, 104.0, 3.0),
+                        (110.0, 111.0, 12.0), (130.0, 131.00002, 12.0)):
+        value, err, ok = _g2131_eval(shape_pair(mu1, mu2), x)
+        ref = cdf_reference(abs(mu1 - mu2), 0.5 * (mu1 + mu2), x)
+        assert ok and value > 0.0, (mu1, mu2, x)
+        assert abs(value - ref) <= err, (mu1, mu2, x, value, ref, err)
+        # the near-integer route's estimate reaches 1.3e-7 relative at 130/131.00002
+        assert err <= 1e-6 * ref, (mu1, mu2, x)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
@@ -609,7 +624,7 @@ def test_near_integer_route_agrees_with_kernel_quadrature(d, off, sign, mu_min, 
     delta = abs(d + sign * off)
     sigma = mu_min + delta / 2.0
     x = 10.0 ** log_x
-    value, err, ok = _g_series(delta, sigma, x)
+    value, err, ok = _g_series(SeriesState(delta, sigma), x)
     ref, ref_err, ref_ok = specfun._g_kernel_quadrature(delta, sigma, x)
     assert ok and ref_ok
     assert abs(value - ref) <= err + ref_err
