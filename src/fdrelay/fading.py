@@ -211,7 +211,7 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
         return 1.0, 1e-14, True
     value, err, ok = _g2131_eval(pp.shapes, x)
     if not (math.isfinite(value) and math.isfinite(err)):
-        # a kernel term past the double range leaves no bound on the value
+        # a kernel value or error that is not finite bounds nothing
         return min(1.0, max(0.0, value)), math.inf, False
     return min(1.0, max(0.0, value)), err, ok
 

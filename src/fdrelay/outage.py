@@ -94,7 +94,6 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     lam3 = power_rate(lbi)
     a3 = lbi.alpha
     mu3 = lbi.mu
-    inv_gamma3 = math.exp(-lbi.ln_gamma_mu)
 
     f_z_failed = []
 
@@ -125,13 +124,15 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
             if mu3 > 1.0:
                 return 0.0
             f0 = f_z(nu * c.beta4 / c.beta1)
-            return f0 * inv_gamma3 if mu3 == 1.0 or f0 == 0.0 else math.inf
-        ln_d = (mu3 - 1.0) * math.log(w) - w
+            return f0 * math.exp(-lbi.ln_gamma_mu) if mu3 == 1.0 or f0 == 0.0 else math.inf
+        # 1 / Gamma(mu3) inside the exp: w^{mu3-1} e^{-w} alone passes the
+        # double range at w = mu3 - 1 once mu3 is above about 172
+        ln_d = (mu3 - 1.0) * math.log(w) - w - lbi.ln_gamma_mu
         if ln_d < -745.0:
             return 0.0
         v = (w / lam3) ** (2.0 / a3)
         arg = nu * (c.beta3 * v + c.beta4) / (c.beta1 - c.beta2 * nu * v)
-        return f_z(arg) * math.exp(ln_d) * inv_gamma3
+        return f_z(arg) * math.exp(ln_d)
 
     # seed panels on both the endpoint scale and the gamma-density scale;
     # the two can differ by many orders when the loop-back endpoint is far

@@ -16,7 +16,9 @@ cross-check in the test suite:
                        ascending residue series (two hypergeometric-type
                        branches), by the confluent logarithmic series when
                        the branch exponents collide, by interpolation in the
-                       gap across both series when they nearly collide, and
+                       gap across both series when they nearly collide
+                       (each series with its prefactors, x^sigma and
+                       1 / (Gamma(mu1) Gamma(mu2)) in one log scale), and
                        for large argument as 1 - S, with S = P(X1 X2 > x)
                        by shape reduction (``_kernel_tail``): each shape
                        mu = f + n is stepped down to its fractional part f,
@@ -105,18 +107,6 @@ def ln_gamma(x: float) -> float:
     for c in reversed(_STIRLING):
         ser = ser * z + c
     return (y - 0.5) * math.log(y) - y + _LN_SQRT_2PI + ser / y - shift
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for real non-pole x, reflection formula for x < 0."""
-    if x > 0.0:
-        if x > 171.61:
-            return math.inf
-        return math.exp(ln_gamma(x))
-    if x == math.floor(x):
-        raise DomainError(f"Gamma pole at x = {x}")
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    return math.pi / (_sin_pi(x) * math.exp(ln_gamma(1.0 - x)))
 
 
 def _sin_pi(x: float) -> float:
@@ -376,37 +366,37 @@ def _noise_integer(v: float, scale: float):
     return n if abs(v - n) <= 2.0 * EPS * scale else None
 
 
-class SeriesState:
-    """What the series routes share at gap delta and mean shape sigma, for every x."""
+def _scaled(s: ShapePair, ln_top: float, lnx: float, total: float, err: float):
+    """(F_Z, abs error, True) from a series sum ``total`` taken relative to exp(ln_top).
 
-    # The route is chosen once, as ``_g_series`` documents; ``d`` is the
-    # integer gap of the log-series, which also anchors the interpolation
-    # across a near-integer gap.  The log-series terms that do not depend on
-    # x are built on first use, its per-k weights only as far as k reaches.
-    def __init__(self, delta: float, sigma: float):
-        self.delta = delta = abs(delta)
-        self.sigma = sigma
-        d = _noise_integer(delta, sigma + delta)
-        self.d = round(delta) if d is None else d
-        self.route = ("log" if d is not None else
-                      "near" if abs(delta - self.d) < _NEAR_INTEGER else "two")
-        # log-series (1 / d!, [(coefficient, exponent, divisor)] of the d simple poles)
-        self.log = None
-        # log-series [(k (d + k), psi(k+1) + psi(d+k+1), 1 / c, c)], c = sigma + k + d/2
-        self.weights = []
-        self.gammas = {}    # two-branch gap -> (Gamma(-gap), Gamma(gap))
-
-
-def _g_series_noninteger(s: SeriesState, delta: float, x: float):
-    """Two-branch ascending series at gap delta, away from the integers.
-
-    Returns (value, abs error estimate, True).
+    exp(ln_top) x^sigma / (Gamma(mu1) Gamma(mu2)) is applied as one exp,
+    after the terms combine.  ``err`` is the sum's error in EPS units; the
+    exponent's roundoff and the ln_gamma error of s.ln_norm (47 + 2 |ln
+    Gamma| ulp per shape) count once, on the value.
     """
-    delta = abs(delta)
+    ln_xs = s.sigma * lnx
+    scale = math.exp(ln_top + ln_xs - s.ln_norm)
+    value = scale * total
+    # 94 ulp for the two ln_gamma floors, 4 for the exp and the products, and 1
+    # for 2 |ln_norm| against 2 (|ln Gamma(mu1)| + |ln Gamma(mu2)|): ln Gamma > -0.1216
+    lost = 99.0 + 2.0 * (abs(ln_top) + abs(ln_xs) + abs(s.ln_norm))
+    return value, (scale * err + lost * abs(value)) * EPS, True
+
+
+def _g_series_noninteger(s: ShapePair, delta: float, x: float):
+    """F_Z by the two-branch ascending series of G at gap delta, away from the integers.
+
+    G = Gamma(-delta) x^{delta/2} S_+ + Gamma(delta) x^{-delta/2} S_-, its
+    prefactors taken as logs (ln |Gamma(-delta)| by reflection) relative to
+    the larger.  Returns (value, abs error estimate, True).
+    """
     sigma = s.sigma
     if delta not in s.gammas:
-        s.gammas[delta] = (gamma_fn(-delta), gamma_fn(delta))
-    g_minus, g_plus = s.gammas[delta]
+        # Gamma(-delta) Gamma(1 + delta) = pi / sin(-pi delta)
+        sin = _sin_pi(-delta)
+        s.gammas[delta] = (math.log(math.pi / abs(sin)) - ln_gamma(1.0 + delta),
+                           math.copysign(1.0, sin), ln_gamma(delta))
+    ln_minus, sign, ln_plus = s.gammas[delta]
     k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
 
     def branch(b_h, pochh_shift):
@@ -428,37 +418,47 @@ def _g_series_noninteger(s: SeriesState, delta: float, x: float):
 
     s1, m1, u1 = branch(delta / 2.0, delta)
     s2, m2, u2 = branch(-delta / 2.0, -delta)
-    t1 = g_minus * x ** (delta / 2.0)
-    t2 = g_plus * x ** (-delta / 2.0)
+    lnx = math.log(x)
+    half = 0.5 * delta * lnx
+    l1, l2 = ln_minus + half, ln_plus - half
+    top = max(l1, l2)
+    t1, t2 = sign * math.exp(l1 - top), math.exp(l2 - top)
     value = t1 * s1 + t2 * s2
     # roundoff accumulates over the term count and across the branch
-    # cancellation, so the estimate scales with both
+    # cancellation, so the estimate scales with both; its constant also
+    # covers each prefactor's own rounding, as it covered Gamma(+-delta) and
+    # x^{+-delta/2} formed as floats
     mag = abs(t1) * m1 + abs(t2) * m2
-    err = (32.0 + 2.0 * max(u1, u2)) * EPS * (mag + abs(value))
-    return value, err, True
+    return _scaled(s, top, lnx, value, (32.0 + 2.0 * max(u1, u2)) * (mag + abs(value)))
 
 
-def _g_series_integer(s: SeriesState, d: int, x: float):
-    """Confluent (logarithmic) series for integer branch separation d >= 0.
+def _g_series_integer(s: ShapePair, d: int, x: float):
+    """F_Z by the confluent (logarithmic) series of G for integer gap d >= 0.
 
     The collided poles contribute digamma and ln x terms; the d leading
-    poles below the collision stay simple.  Returns (value, err, True).
+    poles below the collision stay simple.  The prefactors x^{d/2} / d! and
+    (d-1-j)! x^{j-d/2} / j! enter as logs, with exact log-factorials, taken
+    relative to the larger of the main term's and pole 0's.  Returns (value, err, True).
     """
     if s.log is None:
-        # past d = 170 the factorials overflow, as the terms would
-        s.log = (1.0 / math.factorial(d),
-                 [(((-1.0) ** j) * math.factorial(d - 1 - j) / math.factorial(j),
+        ln_fact = [math.log(math.factorial(n)) for n in range(d + 1)]
+        s.log = (ln_fact[d],
+                 [(-1.0 if j % 2 else 1.0, ln_fact[d - 1 - j] - ln_fact[j],
                    j - d / 2.0, s.sigma + j - d / 2.0) for j in range(d)])
-    term, poles = s.log
+    ln_fact_d, poles = s.log
     lnx = math.log(x)
+    ln_main = 0.5 * d * lnx - ln_fact_d
+    # the scale is the main term's or pole 0's: no pole exceeds pole 0 by more
+    # than sum_j x^j / j!^2 < e^{2 sqrt x}, so no term leaves the double range
+    top = max(ln_main, poles[0][1] + poles[0][2] * lnx) if poles else ln_main
     total = 0.0
     mag = 0.0
-    for coef, e, div in poles:
-        t = coef * x ** e
+    for sign, c, e, div in poles:
+        t = sign * math.exp(c + e * lnx - top)
         t /= div
         total += t
         mag = max(mag, abs(t))
-    sxp = (-1.0 if d % 2 else 1.0) * x ** (d / 2.0)
+    term = (-1.0 if d % 2 else 1.0) * math.exp(ln_main - top)
     k_decay = 2.0 * math.sqrt(x) + 4.0
     weights = s.weights
     for k in range(0, 600):
@@ -469,13 +469,12 @@ def _g_series_integer(s: SeriesState, d: int, x: float):
         kd, psi, inv_c, c = weights[k]
         if k > 0:
             term *= x / kd
-        contrib = sxp * term * (psi - lnx + inv_c) / c
+        contrib = term * (psi - lnx + inv_c) / c
         total += contrib
         mag = max(mag, abs(contrib))
         if k > k_decay and abs(contrib) < abs(total) * EPS:
             break
-    err = (32.0 + 2.0 * k) * EPS * (mag + abs(total))
-    return total, err, True
+    return _scaled(s, top, lnx, total, (32.0 + 2.0 * k) * (mag + abs(total)))
 
 
 def _laguerre_pair(n: int, z: float):
@@ -541,13 +540,28 @@ class ReducedShape(NamedTuple):
     ln_gamma_f: float   # inf for f = 0, where 1 / Gamma(f) = 0
 
 
-class ShapePair(SeriesState):
+class ShapePair:
     """The two shapes of F_Z's kernel and the state every argument shares."""
 
-    # the series state is at delta = |mu1 - mu2|, the Bessel order of the
-    # kernel, and sigma = (mu1 + mu2) / 2
+    # delta = |mu1 - mu2| is the Bessel order of the kernel and sigma =
+    # (mu1 + mu2) / 2.  The series route is chosen once, as ``_g_series``
+    # documents; ``d`` is the integer gap of the log-series, which also
+    # anchors the interpolation across a near-integer gap.  The log-series
+    # terms that do not depend on x are built on first use, its per-k
+    # weights only as far as k reaches.
     def __init__(self, mu1: float, mu2: float):
-        super().__init__(abs(mu1 - mu2), 0.5 * (mu1 + mu2))
+        self.delta = delta = abs(mu1 - mu2)
+        self.sigma = sigma = 0.5 * (mu1 + mu2)
+        d = _noise_integer(delta, sigma + delta)
+        self.d = round(delta) if d is None else d
+        self.route = ("log" if d is not None else
+                      "near" if abs(delta - self.d) < _NEAR_INTEGER else "two")
+        # log-series (ln d!, [(sign, ln ((d-1-j)! / j!), exponent, divisor)] of
+        # the d simple poles)
+        self.log = None
+        # log-series [(k (d + k), psi(k+1) + psi(d+k+1), 1 / c, c)], c = sigma + k + d/2
+        self.weights = []
+        self.gammas = {}    # two-branch gap -> (ln |Gamma(-gap)|, its sign, ln Gamma(gap))
         r1, r2 = _reduced(mu1), _reduced(mu2)
         self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
         # reduced first: an integer shape if any, else the smaller f
@@ -705,18 +719,18 @@ def _lagrange(nodes, values, t: float):
     return total, lebesgue
 
 
-def _g_near_integer(s: SeriesState, delta: float, x: float):
-    """G for a gap 0 < |delta - d| < _NEAR_INTEGER off the integer d, x <= 12.
+def _g_near_integer(s: ShapePair, delta: float, x: float):
+    """F_Z for a gap 0 < |delta - d| < _NEAR_INTEGER off the integer d, x <= 12.
 
-    G is analytic and even in delta, so its value at delta is interpolated
-    from the log-series at d and the two-branch series at d + k h,
-    k = +-1 .. +-3, where the branch cancellation costs only about 1/h in
-    relative accuracy.  For d = 0 the interpolation runs in delta^2 on the
-    nodes 0, h, ..., 6h.  The error is the distance between the 7-node and
-    the inner 5-node interpolant plus the largest node error times the
-    Lebesgue constant at delta.  The interpolation error grows with |ln x|
-    through x^{+-delta/2}: about 1e-10 relative at x = 1e-10 and 2e-8 at
-    x = 1e-25 for gaps up to 6 and shapes from 0.5.
+    G is analytic and even in delta, so F_Z at fixed sigma and normalisation
+    is interpolated in delta from the log-series at d and the two-branch
+    series at d + k h, k = +-1 .. +-3, where the branch cancellation costs
+    only about 1/h in relative accuracy.  For d = 0 the interpolation runs
+    in delta^2 on the nodes 0, h, ..., 6h.  The error is the distance
+    between the 7-node and the inner 5-node interpolant plus the largest
+    node error times the Lebesgue constant at delta.  The interpolation
+    error grows with |ln x| through x^{+-delta/2}: about 1e-10 relative at
+    x = 1e-10 and 2e-8 at x = 1e-25 for gaps up to 6 and shapes from 0.5.
     """
     d = s.d
     h = _INTERP_STEP
@@ -734,14 +748,14 @@ def _g_near_integer(s: SeriesState, delta: float, x: float):
     return p7, err, all(e[2] for e in evals)
 
 
-def _g_series(s: SeriesState, x: float):
-    """The restricted G by its ascending series, x <= _X_SERIES_MAX.
+def _g_series(s: ShapePair, x: float):
+    """F_Z by the ascending series of G, x <= _X_SERIES_MAX.
 
-    Every route returns (value, abs error, converged).  A gap within a few
-    ulps of an integer (2.2 - 1.2) takes the log-series, and a gap from there
-    to _NEAR_INTEGER off an integer is interpolated across the gap.  A
-    series term past the double range, such as x^{-delta/2} for a gap above
-    about 20 at small x, leaves no value: (inf, inf, False).
+    Every route returns (value, abs error, converged) with x^sigma /
+    (Gamma(mu1) Gamma(mu2)) inside its log scale.  A gap within a few ulps
+    of an integer (2.2 - 1.2) takes the log-series, and a gap from there to
+    _NEAR_INTEGER off an integer is interpolated across the gap.  A term
+    past the double range would leave no value: (inf, inf, False).
     """
     try:
         if s.route == "log":
@@ -757,26 +771,15 @@ def _g2131_eval(pair: ShapePair, x: float):
     """F_Z at kernel argument x: x^sigma G(x) / (Gamma(mu1) Gamma(mu2)).
 
     Returns (value, abs error, converged).  Past _X_SERIES_MAX the value is
-    ``_g_complement``'s 1 - S; below it, the series G scaled.  From x = 6,
+    ``_g_complement``'s 1 - S; below it, the series route's.  From x = 6,
     where the series cancellation is marginal and the CDF mass below x is
     non-negligible, the complement replaces a series value whose error it
     beats.
     """
     if x > _X_SERIES_MAX:
         return _g_complement(pair, x)
-    gval, gerr, ok = _g_series(pair, x)
-    norm = math.exp(-pair.ln_norm)
-    xs = x ** pair.sigma
-    lost = 4.0
-    if norm < 2.2250738585072014e-308:
-        # Gamma(mu1) Gamma(mu2) past the double range: x^sigma over it as one
-        # exp, whose exponent's roundoff and ln_gamma error count in err
-        ln_xs = pair.sigma * math.log(x)
-        xs, norm = math.exp(ln_xs - pair.ln_norm), 1.0
-        lost += 48.0 + 2.0 * (abs(ln_xs) + pair.ln_norm)
-    value = xs * gval * norm
-    err = xs * gerr * norm + lost * EPS * abs(value)
-    if gerr > 3e-9 * abs(gval) and x >= 6.0:
+    value, err, ok = _g_series(pair, x)
+    if err > 3e-9 * abs(value) and x >= 6.0:
         complement = _g_complement(pair, x)
         if complement[1] < err:
             return complement

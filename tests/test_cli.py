@@ -27,8 +27,8 @@ from fdrelay.cli import (
 )
 from fdrelay import quadrature, specfun
 from fdrelay.errors import ScenarioError
-from fdrelay.mcsim import simulate_outage
-from fdrelay.outage import outage_af, outage_df
+from fdrelay.mcsim import simulate_grid, simulate_outage
+from fdrelay.outage import outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
 
 GOOD_CONFIG = {
@@ -366,21 +366,73 @@ def test_overflowing_kernel_argument_is_outage(capsys):
     assert rows["af"].outage >= rows["df"].outage - rows["df"].err
 
 
-@pytest.mark.parametrize("power, mu2", [(1e20, 30.0), (1e28, 25.0), (1e28, 24.5)],
-                         ids=["gamma-times-power-inf", "power-raises", "integer-gap"])
-def test_kernel_term_past_double_range_exits_3(tmp_path, capsys, power, mu2):
-    # a shape gap above 20 at a small kernel argument sends the series term
-    # Gamma(gap) x^{-gap/2}, or x^{-gap/2} alone, past the double range: no
-    # value, so no bound either
-    cfg = dict(GOOD_CONFIG, source_power=power,
+# a shape gap above 20 at a small kernel argument, or above 171 anywhere,
+# sent a series prefactor, Gamma(gap), (gap - 1)! or x^(-gap/2), past the
+# double range, and the rows exited 3 with err inf
+WIDE_GAPS = [(1e20, 30.0, 1.0), (1e28, 25.0, 1.0), (1e28, 24.5, 1.0),
+             (10.0, 172.5, 2.0), (10.0, 199.5, 2.0)]
+
+
+@pytest.mark.parametrize("power, mu2, rate", WIDE_GAPS,
+                         ids=["gamma-times-power-inf", "power-raises", "integer-gap",
+                              "gap-172", "gap-199"])
+def test_wide_shape_gap_gives_rows(tmp_path, capsys, power, mu2, rate):
+    # exit 0 with finite err, DF <= AF, each row within 4 sigma of 1e6 exact
+    # draws, and at 1e28 W on the high-SNR floor within the two rows' err
+    cfg = dict(GOOD_CONFIG, source_power=power, target_rate=rate,
                hop1_fading={"alpha": 2.0, "mu": 0.5, "r_hat": 1.0},
                hop2_fading={"alpha": 2.0, "mu": mu2, "r_hat": 1.0})
+    code = _scenario_main(tmp_path, {"id": "wide", "config": cfg}, "--method", "analytic")
+    assert code == 0
+    rows = {r.mode: r for r in rows_from_csv(capsys.readouterr().out)}
+    assert all(math.isfinite(r.err) for r in rows.values())
+    assert rows["df"].outage <= rows["af"].outage
+    config = load_scenario(str(tmp_path / "s.json")).config
+    for mode, est in zip(("df", "af"), simulate_grid([config], ("df", "af"), 1_000_000, 60)[0]):
+        assert abs(rows[mode].outage - est.p_hat) <= 4.0 * est.stderr, (mode, rows[mode], est)
+    if power == 1e28:
+        floor = outage_high_snr(config)
+        for row in rows.values():
+            assert abs(row.outage - floor.value) <= row.err + floor.numeric_error, (row, floor)
+
+
+def test_non_finite_kernel_value_exits_3(tmp_path, monkeypatch, capsys):
+    # a series term past the double range would leave F_Z no value and no
+    # bound: the row keeps err inf and the run exits 3
+    def overflowing(*args):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(specfun, "_g_series_noninteger", overflowing)
+    cfg = dict(GOOD_CONFIG, source_power=1e28,
+               hop1_fading={"alpha": 2.0, "mu": 0.5, "r_hat": 1.0},
+               hop2_fading={"alpha": 2.0, "mu": 25.0, "r_hat": 1.0})
     code = _scenario_main(tmp_path, {"id": "wide", "config": cfg}, "--method", "analytic")
     out, err = capsys.readouterr()
     assert code == 3
     rows = {r.mode: r for r in rows_from_csv(out)}
     assert rows["df"].err == math.inf
     assert err.splitlines()[-1] == "error: at least one row did not converge"
+
+
+def test_mu_sweep_builds_each_shape_pair_once(tmp_path, monkeypatch, capsys):
+    # 300 hop shapes, more than the pair memo holds: each pair is built when
+    # its engine first needs it, once
+    real = specfun.ShapePair.__init__
+    builds = []
+
+    def counted(self, mu1, mu2):
+        builds.append((mu1, mu2))
+        real(self, mu1, mu2)
+
+    monkeypatch.setattr(specfun.ShapePair, "__init__", counted)
+    specfun._PAIRS.clear()
+    sweep = {"parameter": "mu", "start": 1.0, "stop": 3.99, "step": 0.01}
+    code = _scenario_main(tmp_path, {"id": "mus", "config": GOOD_CONFIG, "sweep": sweep},
+                          "--method", "analytic", "--mode", "df")
+    assert code == 0
+    assert len(rows_from_csv(capsys.readouterr().out)) == 300
+    assert len(builds) == len(set(builds)) == 300
+    assert 300 > specfun._PAIRS_MAX
 
 
 def _scenario_main(tmp_path, scenario, *args):
@@ -732,6 +784,65 @@ def test_scenario_document_is_a_scenario_or_one_error(tmp_path_factory, doc):
     assert stdout.getvalue() == ""
     errors = [ln for ln in stderr.getvalue().splitlines() if ln.startswith("error:")]
     assert len(errors) == 1, stderr.getvalue()
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(hi, max(lo, 10.0 ** e)))
+
+
+@st.composite
+def _engine_scenarios(draw):
+    """A valid-looking scenario over the whole schema: one alpha, magnitudes log-uniform."""
+    alpha = draw(_log_uniform(0.5, 8.0))
+
+    def branch():
+        return {"alpha": alpha, "mu": draw(_log_uniform(0.5, 200.0)),
+                "r_hat": draw(_log_uniform(1e-3, 1e3))}
+
+    cfg = {"source_power": draw(_log_uniform(1e-6, 1e30)),
+           "hop1_distance": draw(_log_uniform(0.1, 1e3)),
+           "hop2_distance": draw(_log_uniform(0.1, 1e3)),
+           "hop1_pathloss": draw(_log_uniform(1.0, 6.0)),
+           "hop2_pathloss": draw(_log_uniform(1.0, 6.0)),
+           "hop1_fading": branch(), "hop2_fading": branch(), "lbi_fading": branch(),
+           "noise_antenna_var": draw(_log_uniform(1e-12, 1e-1)),
+           "noise_conversion_var": draw(_log_uniform(1e-12, 1e-1)),
+           "noise_dest_var": draw(_log_uniform(1e-12, 1e-1)),
+           "eh_efficiency": draw(_log_uniform(1e-3, 1.0)),
+           "eh_time_fraction": draw(st.floats(0.01, 0.99)),
+           "target_rate": draw(_log_uniform(1e-3, 20.0))}
+    if draw(st.booleans()):
+        cfg["block_time"] = draw(_log_uniform(1e-3, 1e3))
+    doc = {"id": "engine", "config": cfg}
+    if draw(st.booleans()):
+        start = draw(_log_uniform(1e-3, 20.0))
+        doc["sweep"] = {"parameter": "target_rate", "start": start, "stop": 2.0 * start,
+                        "step": start}
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(doc=_engine_scenarios(), with_mc=st.booleans())
+def test_engines_end_in_rows_or_one_error(tmp_path_factory, doc, with_mc):
+    # every scenario ends in rows with outage in [0, 1] and a finite analytic
+    # err, or in exit 2 or 3 with one error line; never in a traceback
+    path = tmp_path_factory.getbasetemp() / "engine.json"
+    path.write_text(json.dumps(doc))
+    runs = [("analytic",)] + [("mc", "--samples", "10000")] * with_mc
+    for method, *extra in runs:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["--config", str(path), "--method", method, *extra])
+        assert code in (0, 2, 3), (code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        errors = [ln for ln in stderr.getvalue().splitlines() if ln.startswith("error:")]
+        assert len(errors) == (code != 0), stderr.getvalue()
+        if code == 2:
+            continue
+        for row in rows_from_csv(stdout.getvalue()):
+            assert 0.0 <= row.outage <= 1.0, row
+            assert method == "mc" or row.err != math.inf, row
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"

@@ -6,6 +6,7 @@ from scipy import integrate, special
 from fdrelay import outage, specfun
 from fdrelay.errors import DomainError
 from fdrelay.fading import ProductDistParams, cdf_product, pdf_power, cdf_power, _cdf_product_meijer
+from fdrelay.mcsim import simulate_grid
 from fdrelay.outage import OutageResult, outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
 from fdrelay.quadrature import QuadratureSettings
@@ -132,6 +133,18 @@ def test_af_lower_integrand_takes_its_limit_at_zero(monkeypatch, mu3):
     assert 0.0 < f_z0 < 1.0
     # at mu3 = 1 the density's limit is 1 / Gamma(1), from ln_gamma(1) ~ 0
     assert at_zero == [pytest.approx({0.5: math.inf, 1.0: f_z0, 2.0: 0.0}[mu3], rel=1e-14)]
+
+
+def test_af_takes_a_large_loopback_shape():
+    # w^{mu3-1} e^{-w} at w = mu3 - 1 passes the double range once mu3 is
+    # above about 172; with 1 / Gamma(mu3) in its exponent it stays in range
+    cfg = preset_config("rayleigh", target_rate=1.0)
+    cfg = dataclasses.replace(cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, mu=191.0,
+                                                                  r_hat=0.1))
+    af, df = outage_af(cfg), outage_df(cfg)
+    assert af.converged and df.value <= af.value
+    est = simulate_grid([cfg], ("af",), 200_000, 5)[0][0]
+    assert abs(af.value - est.p_hat) <= 4.0 * est.stderr, (af, est)
 
 
 def test_outage_high_snr_examples():

@@ -1,7 +1,8 @@
 """The per-shape-pair kernel state: memoised, bounded, and never a value change.
 
 ``specfun.shape_pair`` keeps one state per (mu1, mu2): the series route,
-the log-series weights grown as far as k has reached, Gamma(+-gap) of each
+ln Gamma(mu1) + ln Gamma(mu2), the log-series log-factorials and weights
+grown as far as k has reached, ln |Gamma(-gap)| and ln Gamma(gap) of each
 two-branch gap, and the clamp.  Every F_Z value, error and flag must be the
 same whichever memo the call meets.
 """

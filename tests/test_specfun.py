@@ -19,11 +19,10 @@ from fdrelay.errors import DomainError
 from fdrelay.quadrature import QuadratureSettings, integrate_to_infinity
 from fdrelay.specfun import (
     bessel_k,
-    gamma_fn,
     ln_gamma,
     reg_lower_gamma,
     shape_pair,
-    SeriesState,
+    ShapePair,
     _LAGUERRE_20,
     _bessel_k_cf2,
     _bessel_k_scaled,
@@ -40,7 +39,7 @@ mpmath.mp.dps = 30
 
 
 # ----------------------------------------------------------------------
-# ln_gamma / gamma_fn
+# ln_gamma
 
 def test_ln_gamma_known_points():
     assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
@@ -65,13 +64,6 @@ def test_ln_gamma_domain():
 def test_ln_gamma_recurrence(x):
     # Gamma(x + 1) = x Gamma(x), independent of any reference library
     assert ln_gamma(x + 1.0) == pytest.approx(ln_gamma(x) + math.log(x), abs=1e-11)
-
-
-def test_gamma_fn_reflection():
-    for x in (-0.5, -2.3, -7.25):
-        assert gamma_fn(x) == pytest.approx(float(special.gamma(x)), rel=1e-12)
-    with pytest.raises(DomainError):
-        gamma_fn(-3.0)
 
 
 def test_digamma_int_matches_scipy():
@@ -567,13 +559,6 @@ def test_meijer_float_noise_gap_takes_the_log_series(monkeypatch):
 # a gap delta with 0 < |delta - d| < 1e-4 for an integer d; sigma is
 # min(mu) + delta/2, so G's pole at delta = 2 sigma lies 2 min(mu) away
 
-def meijer_reference(delta, sigma, x):
-    with mpmath.workdps(40):
-        s = mpmath.mpf(sigma)
-        h = mpmath.mpf(delta) / 2
-        return float(mpmath.meijerg([[1 - s], []], [[h, -h], [-s]], mpmath.mpf(x)))
-
-
 def cdf_reference(delta, sigma, x):
     """F_Z = x^s G(x) / (Gamma(s + delta/2) Gamma(s - delta/2)) by mpmath."""
     with mpmath.workdps(40):
@@ -590,9 +575,10 @@ def test_near_integer_gap_matches_mpmath():
     for delta in deltas:
         for mu_min in (0.5, 1.7, 4.5, 8.0):
             sigma = mu_min + delta / 2.0
+            pair = ShapePair(sigma - delta / 2.0, sigma + delta / 2.0)
             for x in (1e-25, 1e-20, 1e-10, 1e-3, 0.5, 3.0, 5.9):
-                value, err, ok = _g_series(SeriesState(delta, sigma), x)
-                ref = meijer_reference(delta, sigma, x)
+                value, err, ok = _g_series(pair, x)
+                ref = cdf_reference(pair.delta, pair.sigma, x)
                 cell = (delta, mu_min, x)
                 assert ok, cell
                 assert abs(value - ref) <= err, cell
@@ -600,12 +586,26 @@ def test_near_integer_gap_matches_mpmath():
                     assert abs(value - ref) <= 1e-10 * abs(ref), cell
 
 
+# F_Z where the normalisation Gamma(mu1) Gamma(mu2) or a series prefactor
+# leaves the double range
+LARGE_SHAPE_CELLS = (
+    # exp(-ln_norm) leaves the normal range from shape 99 each and is 0 from
+    # 103, where F_Z read 0 with err 0; at 120/120 and x = 12 F_Z is 8.06e-270
+    (120.0, 120.0, 12.0), (119.5, 120.5, 6.0), (104.0, 104.0, 3.0),
+    (110.0, 111.0, 12.0), (130.0, 131.00002, 12.0),
+    # an err that counted 4 ulp for the scale missed the ln_gamma error of
+    # the normalisation by up to 4.8x
+    (1.5, 120.2, 0.05), (1.5, 120.2, 0.5), (1.5, 120.2, 1.0), (1.5, 120.2, 2.0),
+    (85.0, 85.0, 0.5),
+    # Gamma(gap), (gap - 1)! or x^(-gap/2) past the double range left no value
+    (0.5, 199.5, 1e-3), (0.5, 199.5, 0.5), (0.5, 199.5, 5.0),
+    (0.5, 172.5, 1e-3), (0.5, 172.5, 0.5), (0.5, 172.5, 5.0),
+    (0.5, 25.0, 1e-25),
+)
+
+
 def test_large_shapes_keep_f_z_where_the_gamma_norm_underflows():
-    # exp(-ln_norm) leaves the normal range from shape 99 each and is
-    # 0 from 103, where F_Z read 0 with err 0; at 120/120 and x = 12
-    # F_Z is 8.06e-270
-    for mu1, mu2, x in ((120.0, 120.0, 12.0), (119.5, 120.5, 6.0), (104.0, 104.0, 3.0),
-                        (110.0, 111.0, 12.0), (130.0, 131.00002, 12.0)):
+    for mu1, mu2, x in LARGE_SHAPE_CELLS:
         value, err, ok = _g2131_eval(shape_pair(mu1, mu2), x)
         ref = cdf_reference(abs(mu1 - mu2), 0.5 * (mu1 + mu2), x)
         assert ok and value > 0.0, (mu1, mu2, x)
@@ -624,8 +624,14 @@ def test_near_integer_route_agrees_with_kernel_quadrature(d, off, sign, mu_min, 
     delta = abs(d + sign * off)
     sigma = mu_min + delta / 2.0
     x = 10.0 ** log_x
-    value, err, ok = _g_series(SeriesState(delta, sigma), x)
-    ref, ref_err, ref_ok = specfun._g_kernel_quadrature(delta, sigma, x)
+    pair = ShapePair(sigma - delta / 2.0, sigma + delta / 2.0)
+    value, err, ok = _g_series(pair, x)
+    g, g_err, ref_ok = specfun._g_kernel_quadrature(pair.delta, pair.sigma, x)
+    # the kernel integral is G; F_Z is G x^sigma / (Gamma(mu1) Gamma(mu2))
+    with mpmath.workdps(40):
+        s, h = mpmath.mpf(pair.sigma), mpmath.mpf(pair.delta) / 2
+        scale = mpmath.mpf(x) ** s / (mpmath.gamma(s + h) * mpmath.gamma(s - h))
+    ref, ref_err = float(g * scale), float(g_err * scale)
     assert ok and ref_ok
     assert abs(value - ref) <= err + ref_err
 
