@@ -24,13 +24,24 @@ them.  The estimate is a pure function of (seed, config, n).  Consequences:
   curve are therefore correlated, not independent.  In return p_hat is
   exactly non-decreasing in the target rate and non-increasing in the
   source power, since the effective SNR of a draw does not depend on the
-  rate and rises with the power.  Pass a different seed to decouple runs.
+  rate and rises with the power.  Pass a different seed to decouple runs;
+* the (shape triple, block) jobs of a grid are shared by up to two
+  threads, the caller's included, never more than the usable cores; each
+  keeps its own block buffers and integer crossing counts, summed at the
+  end.  Integer sums do not depend on order, so every estimate is bitwise
+  the same for any thread count and any order of the blocks.  The threads
+  run only the draws, the power transform, ``gamma_eff`` and the counting;
+  constants are derived on the calling thread, and no thread outlives the
+  call.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,23 +78,60 @@ def wilson_interval(p_hat: float, n: int):
     return lo, hi
 
 
-def _unit_gammas(shapes, seed: int, block: int, m: int):
-    """The m first unit-scale gamma draws of block ``block`` of each branch."""
+def _shape_key(shapes):
+    """The four 32-bit words of the SHA-256 hash of the three branch shapes."""
     digest = hashlib.sha256(np.array(shapes, dtype="<f8").tobytes()).digest()
-    shape_key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
-    out = []
-    for j, mu in enumerate(shapes):
+    return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
+
+
+def _unit_gammas(shapes, shape_key, seed: int, block: int, out):
+    """Fill out[j] with the first unit-scale gamma draws of block ``block`` of branch j."""
+    for j, (mu, row) in enumerate(zip(shapes, out)):
         ss = np.random.SeedSequence(seed, spawn_key=(*shape_key, j, block))
-        out.append(np.random.Generator(np.random.Philox(ss)).gamma(mu, 1.0, m))
+        np.random.Generator(np.random.Philox(ss)).standard_gamma(mu, out=row)
+
+
+def _power(g, p, out):
+    """Squared envelope r_hat^2 (g/mu)^(2/alpha) from unit gammas g, into out (may be g)."""
+    np.divide(g, p.mu, out=out)
+    if p.alpha != 2.0:
+        out **= 2.0 / p.alpha
+    out *= p.r_hat * p.r_hat
     return out
 
 
-def _power(g, p):
-    """Squared envelope r_hat^2 (g/mu)^(2/alpha) from unit gammas g."""
-    x = g / p.mu
-    if p.alpha != 2.0:
-        x **= 2.0 / p.alpha
-    return x * (p.r_hat * p.r_hat)
+def _workers() -> int:
+    """Threads that share the blocks of a grid: the usable cores, at most 2."""
+    if hasattr(os, "sched_getaffinity"):
+        return min(2, len(os.sched_getaffinity(0)))
+    return min(2, os.cpu_count() or 1)
+
+
+def _run_on_threads(work, workers: int):
+    """The results of work() run once on each of ``workers`` threads, this one included.
+
+    Every started thread has ended when this returns or raises; the first
+    exception of any thread is raised.
+    """
+    results, errors = [None] * workers, []
+
+    def run(k):
+        try:
+            results[k] = work()
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, workers)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def simulate_grid(cfgs, modes, n: int, seed: int):
@@ -95,7 +143,7 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
     set of derived constants other than the threshold nu; every cell then
     counts its own crossings gamma < nu.  Cell (i, k) is bitwise the
     estimate ``simulate_outage(cfgs[i], modes[k], n, seed)``; see the
-    module docstring for the stream contract.
+    module docstring for the stream contract and the threads.
     """
     for mode in modes:
         if mode not in ("df", "af"):
@@ -112,18 +160,46 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
         by_fading = plan.setdefault(tuple(p.mu for p in fadings), {})
         by_chain = by_fading.setdefault(fadings, {})
         by_chain.setdefault(replace(c, nu=0.0), []).append(i)
-    counts = np.zeros((len(cfgs), len(modes)), dtype=np.int64)
+    jobs = collections.deque()
     for shapes, by_fading in plan.items():
+        key = _shape_key(shapes)
         for block, start in enumerate(range(0, n, _BLOCK)):
-            g = _unit_gammas(shapes, seed, block, min(_BLOCK, n - start))
-            for (f1, f2, f3), by_chain in by_fading.items():
-                z = _power(g[0], f1) * _power(g[1], f2)
-                v = _power(g[2], f3)
-                for chain, cells in by_chain.items():
-                    for k, mode in enumerate(modes):
-                        gamma = gamma_eff(mode, z, v, chain)
-                        for i in cells:
-                            counts[i, k] += np.count_nonzero(gamma < consts[i].nu)
+            jobs.append((shapes, key, block, min(_BLOCK, n - start), by_fading))
+
+    def next_job():
+        try:
+            return jobs.popleft()
+        except IndexError:
+            return None
+
+    def count_jobs():
+        counts = np.zeros((len(cfgs), len(modes)), dtype=np.int64)
+        # rows 0-2 take the draws and row 3 the SNR; a shape triple under
+        # several fading triples keeps its draws, and rows 4-5 (untouched,
+        # so not resident, otherwise) take the channel powers
+        buf = np.empty((6, min(n, _BLOCK)))
+        try:
+            for shapes, key, block, m, by_fading in iter(next_job, None):
+                g, out = buf[:3, :m], buf[3, :m]
+                _unit_gammas(shapes, key, seed, block, g)
+                for t, ((f1, f2, f3), by_chain) in enumerate(by_fading.items()):
+                    # the last fading triple may overwrite the draws
+                    dst = g if t == len(by_fading) - 1 else (buf[4, :m], out, buf[5, :m])
+                    z = _power(g[0], f1, dst[0])
+                    z *= _power(g[1], f2, dst[1])
+                    v = _power(g[2], f3, dst[2])
+                    for chain, cells in by_chain.items():
+                        for k, mode in enumerate(modes):
+                            gamma = gamma_eff(mode, z, v, chain, out=out)
+                            for i in cells:
+                                counts[i, k] += np.count_nonzero(gamma < consts[i].nu)
+        except BaseException:
+            jobs.clear()   # the other threads stop after their current block
+            raise
+        return counts
+
+    workers = max(1, min(_workers(), len(jobs)))
+    counts = sum(_run_on_threads(count_jobs, workers))
     return [[_estimate(int(count), n, seed) for count in row] for row in counts]
 
 

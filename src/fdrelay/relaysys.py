@@ -119,7 +119,7 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     )
 
 
-def gamma_eff(mode: str, z, v, c: DerivedConstants):
+def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
     """Effective end-to-end SNR for Z = h1^2 h2^2 and V = h3^2, elementwise.
 
     "df": min(1/(kappa V), kappa P_S Z / (path sigma_D^2)), the smaller of
@@ -127,9 +127,16 @@ def gamma_eff(mode: str, z, v, c: DerivedConstants):
     source power, so only kappa and V remain) and the destination SNR.
     "af": b1 Z / (b2 V Z + b3 V + b4), bounded above by 1/(kappa V): the
     loop-back floor survives any source power.  Outage is gamma < nu.
+
+    With ``out`` (an array the shape of z and v, neither of which it may
+    be) the result is written there, bit for bit the same; z and v are
+    never written.
     """
     if mode == "df":
-        return np.minimum(1.0 / (c.kappa * v), c.dest_coef * z)
+        t = np.divide(1.0, np.multiply(v, c.kappa, out=out), out=out)
+        return np.minimum(t, c.dest_coef * z, out=out)
     if mode == "af":
-        return c.beta1 * z / (c.beta2 * v * z + c.beta3 * v + c.beta4)
+        t = np.multiply(np.multiply(v, c.beta2, out=out), z, out=out)
+        t = np.add(np.add(t, c.beta3 * v, out=out), c.beta4, out=out)
+        return np.divide(c.beta1 * z, t, out=out)
     raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")

@@ -1,14 +1,19 @@
+import dataclasses
 import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from fdrelay import specfun
+from fdrelay import mcsim, specfun
 from fdrelay.errors import DomainError
+from fdrelay.fading import AlphaMuParams
 from fdrelay.mcsim import (
     _BLOCK,
     McEstimate,
+    _shape_key,
     _unit_gammas,
     simulate_grid,
     simulate_outage,
@@ -79,10 +84,99 @@ def test_grid_cells_equal_single_cell_runs():
             assert est == simulate_outage(cfg, mode, n, seed=4)
 
 
+# Crossing counts p_hat * n of the stream contract, pinned: seed 2024,
+# n = 100,003 (so the last block is partial), 10 W, rates 0.5, 1.5 and 3,
+# rows (df, af).  The presets run with loop-back r_hat 0.1; "mixed" has
+# non-integer shapes at alpha 2.5 and a loop-back shape below 1.
+GOLDEN_N = 100_003
+GOLDEN_RATES = (0.5, 1.5, 3.0)
+GOLDEN_COUNTS = {
+    "rayleigh": [[3082, 3138], [13410, 14265], [60114, 71297]],
+    "weibull": [[390, 401], [4159, 4557], [47843, 68863]],
+    "nakagami": [[101, 103], [2274, 2573], [44992, 66298]],
+    "mixed": [[1297, 1613], [51904, 55960], [92820, 95505]],
+}
+
+
+def golden_grid(name):
+    if name != "mixed":
+        return [preset_config(name, source_power=10.0, lbi_r_hat=0.1, target_rate=r)
+                for r in GOLDEN_RATES]
+    base = preset_config("rayleigh", source_power=10.0)
+    return [dataclasses.replace(base, target_rate=r,
+                                hop1_fading=AlphaMuParams(2.5, 1.3),
+                                hop2_fading=AlphaMuParams(2.5, 2.7),
+                                lbi_fading=AlphaMuParams(2.5, 0.6, 0.5))
+            for r in GOLDEN_RATES]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COUNTS))
+def test_estimates_match_the_pinned_stream(name):
+    est = simulate_grid(golden_grid(name), ("df", "af"), GOLDEN_N, 2024)
+    assert [[e.p_hat for e in row] for row in est] == \
+        [[c / GOLDEN_N for c in row] for row in GOLDEN_COUNTS[name]]
+
+
+def test_estimates_do_not_depend_on_the_thread_count(monkeypatch):
+    # a mu sweep gives a shape triple per cell, and the weibull alpha sweep
+    # puts several fading triples under the shapes of nakagami at mu 1;
+    # 4 shape triples of 2 blocks each, the last one partial
+    grid = [preset_config("nakagami", mu=mu, target_rate=r)
+            for mu in (0.8, 1.0, 1.7, 3.0) for r in (1.0, 2.5)]
+    base = preset_config("weibull", target_rate=1.5)
+    grid += [dataclasses.replace(base, hop1_fading=AlphaMuParams(a, 1.0),
+                                 hop2_fading=AlphaMuParams(a, 1.0),
+                                 lbi_fading=AlphaMuParams(a, 1.0)) for a in (1.5, 2.0, 3.5)]
+    taken, unit_gammas = [], mcsim._unit_gammas
+
+    def spy(shapes, key, seed, block, out):
+        taken.append(((shapes, block), threading.get_ident(), threading.active_count()))
+        unit_gammas(shapes, key, seed, block, out)
+
+    monkeypatch.setattr(mcsim, "_unit_gammas", spy)
+    before, interval = threading.active_count(), sys.getswitchinterval()
+    est = {}
+    try:
+        # 4 threads on at most 2 cores, switching often: a job that two
+        # threads took, or that none took, would change a count
+        sys.setswitchinterval(1e-6)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(mcsim, "_workers", lambda: workers)
+            taken.clear()
+            est[workers] = simulate_grid(grid, ("df", "af"), GOLDEN_N, 11)
+            assert threading.active_count() == before
+            jobs, threads, active = zip(*taken)
+            assert len(jobs) == len(set(jobs)) == 8
+            assert len(set(threads)) <= workers
+            assert max(active) <= before + workers - 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert est[1] == est[2] == est[4]
+
+
+def test_a_failing_thread_raises_and_leaves_no_thread(monkeypatch):
+    calls, unit_gammas = [], mcsim._unit_gammas
+
+    def failing(*args):
+        calls.append(args[3])
+        if len(calls) == 2:
+            raise MemoryError("block buffer")
+        unit_gammas(*args)
+
+    monkeypatch.setattr(mcsim, "_unit_gammas", failing)
+    monkeypatch.setattr(mcsim, "_workers", lambda: 2)
+    before = threading.active_count()
+    with pytest.raises(MemoryError, match="block buffer"):
+        simulate_grid([preset_config("rayleigh")], ("df",), 40 * _BLOCK, 1)
+    assert threading.active_count() == before
+    assert len(calls) < 40
+
+
 def test_partial_block_takes_the_first_draws():
     shapes = (1.0, 2.5, 0.7)
-    full = _unit_gammas(shapes, 3, 2, _BLOCK)
-    part = _unit_gammas(shapes, 3, 2, 1000)
+    full, part = np.empty((3, _BLOCK)), np.empty((3, 1000))
+    _unit_gammas(shapes, _shape_key(shapes), 3, 2, full)
+    _unit_gammas(shapes, _shape_key(shapes), 3, 2, part)
     for a, b in zip(full, part):
         assert np.array_equal(a[:1000], b)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -195,3 +196,18 @@ def test_capacity_threshold_equivalence(gamma, rate, eta):
     assume(abs(gamma - nu) > 1e-9 * (1.0 + nu))
     # strict outage event on each side of the equivalence
     assert (capacity(cfg, gamma) < rate) == (gamma < nu)
+
+
+@pytest.mark.parametrize("mode", ["df", "af"])
+def test_gamma_eff_into_a_buffer_is_bitwise_the_same(mode, rng):
+    c = derive_constants(make_cfg(source_power=3.0))
+    z, v = rng.gamma(1.3, 1.0, 4097) ** 2, rng.gamma(0.7, 1.0, 4097)
+    z[:3], v[3:6] = 0.0, 0.0   # zero powers; df divides by zero at v = 0
+    z0, v0 = z.copy(), v.copy()
+    buf = np.full_like(z, np.nan)
+    with np.errstate(divide="ignore"):
+        got = gamma_eff(mode, z, v, c, out=buf)
+        want = gamma_eff(mode, z, v, c)
+    assert got is buf
+    assert got.tobytes() == want.tobytes()
+    assert z.tobytes() == z0.tobytes() and v.tobytes() == v0.tobytes()
