@@ -10,12 +10,8 @@ from .errors import DomainError, ScenarioError
 from .fading import (
     AlphaMuParams,
     ProductDistParams,
-    cdf_envelope,
     cdf_power,
-    cdf_product,
-    pdf_envelope,
     pdf_power,
-    pdf_product,
     power_rate,
     sample_envelope,
 )
@@ -38,12 +34,8 @@ __all__ = [
     # distributions
     "AlphaMuParams",
     "ProductDistParams",
-    "cdf_envelope",
     "cdf_power",
-    "cdf_product",
-    "pdf_envelope",
     "pdf_power",
-    "pdf_product",
     "power_rate",
     "sample_envelope",
     # config

@@ -193,9 +193,12 @@ def emit(rows, fmt: str, path: str | None) -> None:
         raise ScenarioError(f"unknown format {fmt!r}")
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ScenarioError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _parse_sweep_flag(raw: str, parameter: str) -> Sweep:

@@ -2,18 +2,16 @@
 
 The envelope of one branch follows the alpha-mu family: ``(r/r_hat)^alpha``
 is gamma distributed with shape ``mu`` after scaling by ``mu``.  The module
-provides the envelope and squared-envelope (power) densities and CDFs, the
-distribution of a product of two independent powers, and an exact sampler.
+provides the squared-envelope (power) density and CDF, the CDF F_Z of a
+product of two independent powers (``_cdf_product_meijer``, the one F_Z
+entry, with its error estimate), and an exact envelope sampler.
 
 Special cases by parameter choice: Rayleigh (alpha=2, mu=1), Nakagami-m
 (alpha=2, mu=m), Weibull (mu=1), one-sided Gaussian (alpha=2, mu=1/2).
 
-Conventions fixed here and enforced by the normalization tests:
-
-* the power-distribution rate constant is ``lam = mu / r_hat**alpha`` (the
-  exponent is alpha, not alpha/2);
-* the product density carries the symmetric prefactor
-  ``(lam1*lam2)**((mu1+mu2)/2)``.
+The power-distribution rate constant is ``lam = mu / r_hat**alpha`` (the
+exponent is alpha, not alpha/2), a convention the normalization tests
+enforce.
 """
 
 from __future__ import annotations
@@ -22,9 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError
-from .quadrature import QuadratureSettings, integrate_adaptive
 from .specfun import (
-    bessel_k,
     ln_gamma,
     reg_lower_gamma,
     ShapePair,
@@ -104,30 +100,6 @@ class ProductDistParams:
 # ----------------------------------------------------------------------
 # single branch
 
-def pdf_envelope(p: AlphaMuParams, r: float) -> float:
-    """Envelope density at r > 0."""
-    if not r > 0.0:
-        raise DomainError(f"pdf_envelope requires r > 0, got {r}")
-    am = p.alpha * p.mu
-    ln_f = (math.log(p.alpha) + p.mu * math.log(p.mu) + (am - 1.0) * math.log(r)
-            - am * math.log(p.r_hat) - p.ln_gamma_mu
-            - p.mu * (r / p.r_hat) ** p.alpha)
-    return math.exp(ln_f) if ln_f > -745.0 else 0.0
-
-
-def cdf_envelope(p: AlphaMuParams, r: float) -> float:
-    """Envelope CDF, the regularized gamma at mu * (r/r_hat)**alpha."""
-    if r < 0.0:
-        raise DomainError(f"cdf_envelope requires r >= 0, got {r}")
-    if r == 0.0:
-        return 0.0
-    try:
-        w = (r / p.r_hat) ** p.alpha
-    except OverflowError:   # past the double range, where the CDF is 1
-        w = math.inf
-    return reg_lower_gamma(p.mu, p.mu * w)
-
-
 def pdf_power(p: AlphaMuParams, x: float) -> float:
     """Density of the squared envelope at x > 0."""
     if not x > 0.0:
@@ -141,10 +113,16 @@ def pdf_power(p: AlphaMuParams, x: float) -> float:
 
 
 def cdf_power(p: AlphaMuParams, x: float) -> float:
-    """CDF of the squared envelope; identical code path to cdf_envelope."""
+    """CDF of the squared envelope, the regularized gamma at mu * (sqrt(x)/r_hat)**alpha."""
     if x < 0.0:
         raise DomainError(f"cdf_power requires x >= 0, got {x}")
-    return cdf_envelope(p, math.sqrt(x))
+    if x == 0.0:
+        return 0.0
+    try:
+        w = (math.sqrt(x) / p.r_hat) ** p.alpha
+    except OverflowError:   # past the double range, where the CDF is 1
+        w = math.inf
+    return reg_lower_gamma(p.mu, p.mu * w)
 
 
 def sample_envelope(p: AlphaMuParams, rng, size=None):
@@ -161,24 +139,6 @@ def sample_envelope(p: AlphaMuParams, rng, size=None):
 
 # ----------------------------------------------------------------------
 # product of two powers (equal alpha)
-
-def pdf_product(pp: ProductDistParams, z: float) -> float:
-    """Density of Z = h1^2 * h2^2 at z > 0.
-
-    f_Z(z) = alpha (l1 l2)^{(m1+m2)/2} z^{alpha (m1+m2)/4 - 1}
-             K_{m1-m2}(2 sqrt(l1 l2 z^{alpha/2})) / (Gamma(m1) Gamma(m2)).
-    """
-    if not z > 0.0:
-        raise DomainError(f"pdf_product requires z > 0, got {z}")
-    a = pp.hop1.alpha
-    kval = bessel_k(pp.shapes.delta, 2.0 * math.sqrt(pp.kernel_arg(z)))
-    if kval == 0.0:
-        return 0.0
-    ln_f = (math.log(a) + pp.shapes.sigma * math.log(pp.lam12)
-            + (0.5 * a * pp.shapes.sigma - 1.0) * math.log(z)
-            + math.log(kval) - pp.shapes.ln_norm)
-    return math.exp(ln_f) if ln_f > -745.0 else 0.0
-
 
 def product_arg_clamp(pp: ProductDistParams) -> float:
     """Smallest kernel argument x beyond which 1 - F_Z < 1e-14.
@@ -198,63 +158,20 @@ def product_arg_clamp(pp: ProductDistParams) -> float:
 
 
 def _cdf_product_meijer(pp: ProductDistParams, z: float):
-    """(value, abs error, converged) of F_Z(z) through the kernel ``_g2131_eval``.
+    """(value, abs error) of F_Z(z), the CDF of the product of the two hop powers.
 
-    ``converged`` is the kernel's flag; an unconverged F_Z still carries its
-    best value and error.  The two clamped ends are exact to their error.
+    The one F_Z entry: the kernel ``_g2131_eval``, clamped to [0, 1].  The
+    error is inf exactly where no value was reached, and the value is then
+    the kernel's best.  The two clamped ends are exact to their error.
     """
     x = pp.kernel_arg(z)
     if x < 1e-30:
         # F is bounded by ~x^{min mu} |ln x|, far below any tolerance here
-        return 0.0, 1e-15, True
+        return 0.0, 1e-15
     if x >= product_arg_clamp(pp):
-        return 1.0, 1e-14, True
-    value, err, ok = _g2131_eval(pp.shapes, x)
+        return 1.0, 1e-14
+    value, err = _g2131_eval(pp.shapes, x)
     if not (math.isfinite(value) and math.isfinite(err)):
         # a kernel value or error that is not finite bounds nothing
-        return min(1.0, max(0.0, value)), math.inf, False
-    return min(1.0, max(0.0, value)), err, ok
-
-
-def _cdf_product_quadrature(pp: ProductDistParams, z: float):
-    """(value, abs error, converged) of F_Z(z) by integrating the density.
-
-    Works in t = zeta^{alpha/2}, where the density becomes the plain
-    Bessel-kernel integrand; panel seeds follow the kernel argument scale.
-    The independent reference the tests hold ``cdf_product`` against.
-    """
-    ll = pp.lam12
-    sigma, delta = pp.shapes.sigma, pp.shapes.delta
-    norm = 2.0 * ll ** sigma * math.exp(-pp.shapes.ln_norm)
-    # beyond arg ~ 900 the Bessel factor underflows to exactly zero
-    t_max = min(z ** (0.5 * pp.hop1.alpha), 450.0 ** 2 / ll)
-
-    def f(t):
-        arg = 2.0 * math.sqrt(ll * t)
-        kv = bessel_k(delta, arg)
-        if kv == 0.0:
-            return 0.0
-        ln_f = (sigma - 1.0) * math.log(t) + math.log(kv)
-        return math.exp(ln_f) if ln_f > -745.0 else 0.0
-
-    # scales where the kernel argument passes interesting magnitudes
-    bps = [c / ll for c in (1e-3, 0.0625, 1.0, 25.0, 400.0) if 0.0 < c / ll < t_max]
-    settings = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
-    val, err, ok = integrate_adaptive(f, 0.0, t_max, settings, breakpoints=bps)
-    return min(1.0, max(0.0, norm * val)), norm * err, ok
-
-
-def cdf_product(pp: ProductDistParams, z: float) -> float:
-    """CDF of the product of two squared envelopes, clamped to [0, 1].
-
-    Assembled in closed form from the restricted Meijer kernel; the
-    converged flag of the kernel is dropped.  ``_cdf_product_quadrature``,
-    an adaptive integral of the t-space Bessel kernel that shares no code
-    with this route, must agree with it to 1e-7 absolute.
-    """
-    if z < 0.0:
-        raise DomainError(f"cdf_product requires z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-    value, _, _ = _cdf_product_meijer(pp, z)
-    return value
+        err = math.inf
+    return min(1.0, max(0.0, value)), err

@@ -40,7 +40,11 @@ HIGH_SNR = "high_snr"
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Outage value with its method tag and a numerical error estimate."""
+    """Outage value with its method tag and a numerical error estimate.
+
+    ``numeric_error`` is inf where F_Z reached no value; ``converged`` is
+    false then, or where AF's quadrature did not converge.
+    """
 
     value: float
     method: str
@@ -57,18 +61,19 @@ class OutageResult:
 def outage_df(cfg: SystemConfig) -> OutageResult:
     """Decode-and-forward outage probability, closed form.
 
-    If F_Z does not converge, the result carries its best value and error
-    estimate with ``converged=False``.
+    If F_Z reaches no value (its error is inf), the result carries F_Z's
+    best value with error inf and ``converged=False``.
     """
     c = derive_constants(cfg)
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     v_star = 1.0 / (c.kappa * c.nu)
     f_v = cdf_power(cfg.lbi_fading, v_star)
-    f_z, f_z_err, converged = _cdf_product_meijer(pp, c.nu / c.dest_coef)
+    f_z, f_z_err = _cdf_product_meijer(pp, c.nu / c.dest_coef)
     value = 1.0 - f_v * (1.0 - f_z)
-    err = f_v * f_z_err + 8.0 * EPS
-    return OutageResult(value=min(1.0, max(0.0, value)),
-                        method=DF_ANALYTIC, numeric_error=err, converged=converged)
+    # f_v * inf would be nan at f_v = 0
+    err = f_v * f_z_err + 8.0 * EPS if math.isfinite(f_z_err) else math.inf
+    return OutageResult(value=min(1.0, max(0.0, value)), method=DF_ANALYTIC,
+                        numeric_error=err, converged=math.isfinite(err))
 
 
 def outage_af(cfg: SystemConfig) -> OutageResult:
@@ -81,9 +86,9 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     density singularity exactly), the upper half in u = 1 - kappa nu v so
     the diverging F_Z argument collapses onto u -> 0, where F_Z clamps to 1
     and the integrand degenerates to the plain loop-back density.  An F_Z
-    call that does not converge, on any route of its kernel, contributes its
-    best value and marks the result unconverged; its error is not yet part
-    of ``numeric_error``.
+    call that reaches no value (error inf), on any route of its kernel,
+    contributes its best value and makes ``numeric_error`` inf; a finite F_Z
+    error is not yet part of ``numeric_error``.
     """
     settings = QuadratureSettings()
     c = derive_constants(cfg)
@@ -98,8 +103,8 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     f_z_failed = []
 
     def f_z(arg):
-        value, _, ok = _cdf_product_meijer(pp, arg)
-        if not ok:
+        value, err = _cdf_product_meijer(pp, arg)
+        if err == math.inf:
             f_z_failed.append(arg)
         return value
 
@@ -111,8 +116,9 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         # the loop-back power is 0 in double precision, so the AF SNR is
         # b1 Z / b4 and no integral over V remains
         value = f_z(nu * c.beta4 / c.beta1)
-        return OutageResult(value=value, method=AF_ANALYTIC, numeric_error=8.0 * EPS,
-                            converged=not f_z_failed)
+        err = math.inf if f_z_failed else 8.0 * EPS
+        return OutageResult(value=value, method=AF_ANALYTIC, numeric_error=err,
+                            converged=math.isfinite(err))
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
@@ -159,10 +165,10 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
 
     tail = 1.0 - cdf_power(lbi, v_star)
     value = tail + val_lo + val_up
-    err = err_lo + err_up + 8.0 * EPS
+    err = math.inf if f_z_failed else err_lo + err_up + 8.0 * EPS
     return OutageResult(value=min(1.0, max(0.0, value)),
                         method=AF_ANALYTIC, numeric_error=err,
-                        converged=ok_lo and ok_up and not f_z_failed)
+                        converged=ok_lo and ok_up and math.isfinite(err))
 
 
 def outage_high_snr(cfg: SystemConfig) -> OutageResult:

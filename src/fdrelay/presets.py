@@ -10,9 +10,10 @@ the residual loop-back channel):
 Shared baseline: 5 m hops with path-loss exponent 2, relay and destination
 noise power 1e-4 W (the relay's split equally between antenna and
 conversion stages), unit harvesting efficiency, half-block harvesting, unit
-root-mean channel gains.  The loop-back strength is exposed separately
-because residual self-interference after cancellation is a hardware figure,
-not a propagation one.
+root-mean channel gains.  The loop-back envelope scale is set apart from
+the hops (``lbi_fading.r_hat``, the CLI's ``--lbi-r-hat``) because residual
+self-interference after cancellation is a hardware figure, not a
+propagation one.
 """
 
 from __future__ import annotations
@@ -32,31 +33,23 @@ PRESET_NAMES = tuple(sorted(PRESET_FADING))
 
 def preset_config(name: str, *,
                   source_power: float = 1.0,
-                  target_rate: float = 1.0,
-                  lbi_r_hat: float = 1.0,
-                  mu: float | None = None) -> SystemConfig:
-    """Build the named preset, optionally overriding the swept parameters.
-
-    ``mu`` overrides the fading shape on all three branches; ``lbi_r_hat``
-    scales only the residual loop-back envelope.
-    """
+                  target_rate: float = 1.0) -> SystemConfig:
+    """Build the named preset at the given source power and target rate."""
     try:
         a, base_mu = PRESET_FADING[name]
     except KeyError:
         raise ScenarioError(
             f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}") from None
-    m = base_mu if mu is None else mu
-    hop = AlphaMuParams(alpha=a, mu=m, r_hat=1.0)
-    lbi = AlphaMuParams(alpha=a, mu=m, r_hat=lbi_r_hat)
+    fading = AlphaMuParams(alpha=a, mu=base_mu, r_hat=1.0)
     return SystemConfig(
         source_power=source_power,
         hop1_distance=5.0,
         hop2_distance=5.0,
         hop1_pathloss=2.0,
         hop2_pathloss=2.0,
-        hop1_fading=hop,
-        hop2_fading=hop,
-        lbi_fading=lbi,
+        hop1_fading=fading,
+        hop2_fading=fading,
+        lbi_fading=fading,
         noise_antenna_var=5e-5,
         noise_conversion_var=5e-5,
         noise_dest_var=1e-4,

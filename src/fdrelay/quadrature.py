@@ -2,9 +2,9 @@
 
 A 7-point Gauss / 15-point Kronrod pair drives a worst-interval-first
 bisection loop.  The Kronrod extension supplies the value, the Gauss/Kronrod
-discrepancy the local error estimate.  All outage integrals and the
-quadrature routes of the distribution CDFs run through this module, so the
-error estimates reported by the analytic engines trace back to here.
+discrepancy the local error estimate.  All outage integrals run through
+this module, so the quadrature part of the error estimates reported by the
+analytic engines traces back to here.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class QuadratureSettings:
 def gauss_kronrod(f, a: float, b: float):
     """One G7/K15 panel on [a, b].
 
-    Returns (integral, error_estimate, abs_integral).  Nodes are interior,
-    so integrable endpoint singularities are never evaluated directly.
+    Returns (integral, error_estimate).  Nodes are interior, so integrable
+    endpoint singularities are never evaluated directly.
     """
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -74,7 +74,7 @@ def gauss_kronrod(f, a: float, b: float):
     # QUADPACK heuristic; keep a floor tied to roundoff of the panel
     err = min(raw, (200.0 * raw) ** 1.5) if raw > 0.0 else 0.0
     err = max(err, 50.0 * _EPS * ia)
-    return ik, err, ia
+    return ik, err
 
 
 def integrate_adaptive(f, a: float, b: float,
@@ -93,7 +93,7 @@ def integrate_adaptive(f, a: float, b: float,
     heap = []
     count = 0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        val, err, _ = gauss_kronrod(f, lo, hi)
+        val, err = gauss_kronrod(f, lo, hi)
         heap.append((-err, count, lo, hi, val, err))
         count += 1
     heapq.heapify(heap)
@@ -102,16 +102,15 @@ def integrate_adaptive(f, a: float, b: float,
         total_err = sum(item[5] for item in heap)
         if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
             return total, total_err, True
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        _, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             # interval at roundoff resolution, keep it and give up refining
-            val, err, _ = gauss_kronrod(f, lo, hi)
             heap.append((0.0, count, lo, hi, val, err))
             count += 1
             continue
-        v1, e1, _ = gauss_kronrod(f, lo, mid)
-        v2, e2, _ = gauss_kronrod(f, mid, hi)
+        v1, e1 = gauss_kronrod(f, lo, mid)
+        v2, e2 = gauss_kronrod(f, mid, hi)
         heapq.heappush(heap, (-e1, count, lo, mid, v1, e1))
         count += 1
         heapq.heappush(heap, (-e2, count, mid, hi, v2, e2))

@@ -31,9 +31,10 @@ cross-check in the test suite:
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
 1e-8 relative on its restricted parameter pattern for argument in
-[1e-10, 1e4] and returns its own error estimate with a converged flag.  The
-kernel takes hop shapes up to MAX_SHAPE.  ``shape_pair`` memoises each
-pair's state, at most _PAIRS_MAX pairs; no value depends on the memo.
+[1e-10, 1e4] and returns its own error estimate, inf where it reached no
+value.  The kernel takes hop shapes up to MAX_SHAPE.  ``shape_pair``
+memoises each pair's state, at most _PAIRS_MAX pairs; no value depends on
+the memo.
 """
 
 from __future__ import annotations
@@ -367,7 +368,7 @@ def _noise_integer(v: float, scale: float):
 
 
 def _scaled(s: ShapePair, ln_top: float, lnx: float, total: float, err: float):
-    """(F_Z, abs error, True) from a series sum ``total`` taken relative to exp(ln_top).
+    """(F_Z, abs error) from a series sum ``total`` taken relative to exp(ln_top).
 
     exp(ln_top) x^sigma / (Gamma(mu1) Gamma(mu2)) is applied as one exp,
     after the terms combine.  ``err`` is the sum's error in EPS units; the
@@ -380,7 +381,7 @@ def _scaled(s: ShapePair, ln_top: float, lnx: float, total: float, err: float):
     # 94 ulp for the two ln_gamma floors, 4 for the exp and the products, and 1
     # for 2 |ln_norm| against 2 (|ln Gamma(mu1)| + |ln Gamma(mu2)|): ln Gamma > -0.1216
     lost = 99.0 + 2.0 * (abs(ln_top) + abs(ln_xs) + abs(s.ln_norm))
-    return value, (scale * err + lost * abs(value)) * EPS, True
+    return value, (scale * err + lost * abs(value)) * EPS
 
 
 def _g_series_noninteger(s: ShapePair, delta: float, x: float):
@@ -388,7 +389,7 @@ def _g_series_noninteger(s: ShapePair, delta: float, x: float):
 
     G = Gamma(-delta) x^{delta/2} S_+ + Gamma(delta) x^{-delta/2} S_-, its
     prefactors taken as logs (ln |Gamma(-delta)| by reflection) relative to
-    the larger.  Returns (value, abs error estimate, True).
+    the larger.  Returns (value, abs error estimate).
     """
     sigma = s.sigma
     if delta not in s.gammas:
@@ -438,7 +439,7 @@ def _g_series_integer(s: ShapePair, d: int, x: float):
     The collided poles contribute digamma and ln x terms; the d leading
     poles below the collision stay simple.  The prefactors x^{d/2} / d! and
     (d-1-j)! x^{j-d/2} / j! enter as logs, with exact log-factorials, taken
-    relative to the larger of the main term's and pole 0's.  Returns (value, err, True).
+    relative to the larger of the main term's and pole 0's.  Returns (value, err).
     """
     if s.log is None:
         ln_fact = [math.log(math.factorial(n)) for n in range(d + 1)]
@@ -632,7 +633,7 @@ def _kernel_tail(pair: ShapePair, x0: float):
     reach ``mag``, plus the error of its ``ln_gamma`` parts (up to
     47 + 2 |ln Gamma| ulp, counted in ``mag``), 4 EPS per unit of
     mu_a + mu_b for the terms and ladder steps, and the rule's error on the
-    residual.  Returns (S, abs error, True).
+    residual.  Returns (S, abs error).
     """
     a, b = pair.a, pair.b
     t0 = 2.0 * math.sqrt(x0)
@@ -648,7 +649,7 @@ def _kernel_tail(pair: ShapePair, x0: float):
     mag += abs(b.ln_gamma_mu) + 24.0
     if not a.f:
         value = 2.0 * first
-        return value, (16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * value, True
+        return value, (16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * value
     lg = abs(a.ln_gamma_f) + abs(b.ln_gamma_f)
     second, mag_b = _bessel_sum(a.f + b.f, half_ln, -t0 - a.ln_gamma_f, b.f,
                                 b.ln_gamma_f + math.log(b.f), up[:b.n])
@@ -664,19 +665,19 @@ def _kernel_tail(pair: ShapePair, x0: float):
     sums = 2.0 * (first + second)
     err = ((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * sums
            + (_RESIDUAL_RULE_ERR + (40.0 + 2.0 * mag_res) * EPS) * res)
-    return sums + res, err, True
+    return sums + res, err
 
 
 def _g_complement(pair: ShapePair, x: float):
-    """Large-argument path: F_Z = 1 - S(x), (value, abs error, converged).
+    """Large-argument path: F_Z = 1 - S(x), (value, abs error).
 
     S is ``_kernel_tail``'s normalised survival, so neither x^sigma nor
     Gamma(mu1) Gamma(mu2) is formed.  1 - S keeps the absolute accuracy of
     S plus one rounding; where F_Z is tiny it has no relative accuracy.
     """
-    tail, err, ok = _kernel_tail(pair, x)
+    tail, err = _kernel_tail(pair, x)
     value = 1.0 - tail
-    return value, err + EPS * abs(value), ok
+    return value, err + EPS * abs(value)
 
 
 def _g_kernel_quadrature(delta: float, sigma: float, x: float):
@@ -745,17 +746,17 @@ def _g_near_integer(s: ShapePair, delta: float, x: float):
     p7, lebesgue = _lagrange(nodes, values, t)
     p5, _ = _lagrange(nodes[inner], values[inner], t)
     err = abs(p7 - p5) + lebesgue * max(e[1] for e in evals)
-    return p7, err, all(e[2] for e in evals)
+    return p7, err
 
 
 def _g_series(s: ShapePair, x: float):
     """F_Z by the ascending series of G, x <= _X_SERIES_MAX.
 
-    Every route returns (value, abs error, converged) with x^sigma /
-    (Gamma(mu1) Gamma(mu2)) inside its log scale.  A gap within a few ulps
-    of an integer (2.2 - 1.2) takes the log-series, and a gap from there to
-    _NEAR_INTEGER off an integer is interpolated across the gap.  A term
-    past the double range would leave no value: (inf, inf, False).
+    Every route returns (value, abs error) with x^sigma / (Gamma(mu1)
+    Gamma(mu2)) inside its log scale.  A gap within a few ulps of an integer
+    (2.2 - 1.2) takes the log-series, and a gap from there to _NEAR_INTEGER
+    off an integer is interpolated across the gap.  A term past the double
+    range would leave no value: (inf, inf).
     """
     try:
         if s.route == "log":
@@ -764,23 +765,23 @@ def _g_series(s: ShapePair, x: float):
             return _g_near_integer(s, s.delta, x)
         return _g_series_noninteger(s, s.delta, x)
     except OverflowError:
-        return math.inf, math.inf, False
+        return math.inf, math.inf
 
 
 def _g2131_eval(pair: ShapePair, x: float):
     """F_Z at kernel argument x: x^sigma G(x) / (Gamma(mu1) Gamma(mu2)).
 
-    Returns (value, abs error, converged).  Past _X_SERIES_MAX the value is
-    ``_g_complement``'s 1 - S; below it, the series route's.  From x = 6,
-    where the series cancellation is marginal and the CDF mass below x is
-    non-negligible, the complement replaces a series value whose error it
-    beats.
+    Returns (value, abs error), the error inf where no value was reached.
+    Past _X_SERIES_MAX the value is ``_g_complement``'s 1 - S; below it, the
+    series route's.  From x = 6, where the series cancellation is marginal
+    and the CDF mass below x is non-negligible, the complement replaces a
+    series value whose error it beats.
     """
     if x > _X_SERIES_MAX:
         return _g_complement(pair, x)
-    value, err, ok = _g_series(pair, x)
+    value, err = _g_series(pair, x)
     if err > 3e-9 * abs(value) and x >= 6.0:
         complement = _g_complement(pair, x)
         if complement[1] < err:
             return complement
-    return value, err, ok
+    return value, err

@@ -6,6 +6,7 @@ the Monte Carlo criteria dominate the clock (a few minutes at 1e7 samples
 per grid point).
 """
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -18,16 +19,16 @@ from fdrelay.cli import CSV_HEADER, apply_sweep_value
 from fdrelay.fading import (
     AlphaMuParams,
     ProductDistParams,
-    cdf_product,
-    pdf_envelope,
+    cdf_power,
     pdf_power,
     power_rate,
     sample_envelope,
-    _cdf_product_quadrature,
+    _cdf_product_meijer,
 )
 from fdrelay.mcsim import simulate_grid
 from fdrelay.outage import outage_af, outage_df, outage_high_snr
 from fdrelay.presets import PRESET_NAMES, preset_config
+from reference import _cdf_product_quadrature
 
 MC_SAMPLES = 10_000_000
 MC_SEED = 42
@@ -48,8 +49,8 @@ def test_criterion_1_distribution_correctness():
     for name in PRESET_NAMES:
         p = preset_config(name).hop1_fading
         upper_r = (60.0 / power_rate(p)) ** (1.0 / p.alpha)
-        val, _ = integrate.quad(lambda r: pdf_envelope(p, r), 0.0, upper_r, limit=300)
-        assert abs(val - 1.0) <= 1e-8, f"{name}: envelope density mass {val}"
+        val = cdf_power(p, upper_r * upper_r)
+        assert abs(val - 1.0) <= 1e-8, f"{name}: envelope mass {val}"
         upper_x = upper_r ** 2
         val, _ = integrate.quad(lambda x: pdf_power(p, x), 0.0, upper_x, limit=300)
         assert abs(val - 1.0) <= 1e-8, f"{name}: power density mass {val}"
@@ -87,7 +88,7 @@ def test_criterion_2_product_cdf_dual_route():
                 pp = ProductDistParams(AlphaMuParams(alpha, mu1),
                                        AlphaMuParams(alpha, mu2))
                 for z in z_grid:
-                    a = cdf_product(pp, float(z))
+                    a = _cdf_product_meijer(pp, float(z))[0]
                     b = _cdf_product_quadrature(pp, float(z))[0]
                     worst = max(worst, abs(a - b))
     assert worst <= 1e-7, f"dual-route disagreement {worst:.3e}"
@@ -96,7 +97,7 @@ def test_criterion_2_product_cdf_dual_route():
     worst_ray = 0.0
     for z in z_grid:
         closed = 1.0 - 2.0 * math.sqrt(z) * float(special.kv(1, 2.0 * math.sqrt(z)))
-        worst_ray = max(worst_ray, abs(cdf_product(pp, float(z)) - closed))
+        worst_ray = max(worst_ray, abs(_cdf_product_meijer(pp, float(z))[0] - closed))
     assert worst_ray <= 1e-9, f"double-Rayleigh mismatch {worst_ray:.3e}"
     dt = time.perf_counter() - t0
     assert dt < 120.0, f"criterion 2 runtime {dt:.1f} s over budget"
@@ -227,8 +228,10 @@ def test_criterion_8_alpha_sweep_shape():
     t0 = time.perf_counter()
     for mu in (1.0, 2.0):
         for ps, direction in ((10.0, -1.0), (1.0, +1.0)):
-            base = preset_config("rayleigh", source_power=ps, target_rate=2.5,
-                                 lbi_r_hat=0.1, mu=mu)
+            base = apply_sweep_value(
+                preset_config("rayleigh", source_power=ps, target_rate=2.5), "mu", mu)
+            base = dataclasses.replace(
+                base, lbi_fading=dataclasses.replace(base.lbi_fading, r_hat=0.1))
             for engine in (outage_df, outage_af):
                 lo = engine(apply_sweep_value(base, "alpha", 1.0)).value
                 hi = engine(apply_sweep_value(base, "alpha", 4.0)).value

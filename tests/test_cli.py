@@ -286,6 +286,18 @@ def test_main_high_snr_power_sweep(tmp_path):
     assert len({r.outage for r in rows}) == 1
 
 
+@pytest.mark.parametrize("target", ["missing-dir/x.csv", "."], ids=["missing-dir", "directory"])
+def test_out_path_that_cannot_be_written_exits_2(tmp_path, capsys, target):
+    out = tmp_path / target
+    code = main(["--preset", "rayleigh", "--method", "high-snr", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    errors = [ln for ln in captured.err.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and str(out) in errors[0], captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_main_config_file_and_overrides(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"id": "custom", "config": GOOD_CONFIG}))
@@ -620,14 +632,14 @@ def test_mixed_alpha_scenario(tmp_path):
 
 def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
     # shapes 1.5 and 2.50005 put F_Z in the near-integer band; make its
-    # interpolation route report non-convergence with its best value
+    # interpolation route reach no value (err inf) but keep its best value
     real = specfun._g_near_integer
     calls = []
 
-    def failing(delta, sigma, x):
-        value, err, _ = real(delta, sigma, x)
+    def failing(s, delta, x):
+        value, _ = real(s, delta, x)
         calls.append(x)
-        return value, err, False
+        return value, math.inf
 
     monkeypatch.setattr(specfun, "_g_near_integer", failing)
     cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 1.5, "r_hat": 1.0},
@@ -641,20 +653,21 @@ def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
     rows = rows_from_csv(out)
     assert [r.mode for r in rows] == ["af", "df"]
     assert all(0.0 < r.outage < 1.0 for r in rows)
+    assert all(r.err == math.inf for r in rows)
     assert "error: at least one row did not converge" in err.splitlines()
     assert "Traceback" not in err
 
 
 def test_unconverged_kernel_tail_exits_3_with_rows(tmp_path, monkeypatch, capsys):
     # shapes 25.5/25.5 send large F_Z arguments through the complement 1 - S;
-    # make the shape-reduced tail S report failure with its best value
+    # make the shape-reduced tail S reach no value (err inf) but keep its best
     real = specfun._kernel_tail
     calls = []
 
     def failing(pair, x0):
-        value, err, _ = real(pair, x0)
+        value, _ = real(pair, x0)
         calls.append(x0)
-        return value, err, False
+        return value, math.inf
 
     monkeypatch.setattr(specfun, "_kernel_tail", failing)
     cfg = dict(GOOD_CONFIG, source_power=10.0, target_rate=2.0,
@@ -670,6 +683,7 @@ def test_unconverged_kernel_tail_exits_3_with_rows(tmp_path, monkeypatch, capsys
     rows = rows_from_csv(out)
     assert [r.mode for r in rows] == ["af", "df"]
     assert all(0.0 <= r.outage <= 1.0 for r in rows)
+    assert all(r.err == math.inf for r in rows)
     assert "error: at least one row did not converge" in err.splitlines()
     assert "Traceback" not in err
 

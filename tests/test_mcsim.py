@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fdrelay import mcsim, specfun
+from fdrelay.cli import apply_sweep_value
 from fdrelay.errors import DomainError
 from fdrelay.fading import AlphaMuParams
 from fdrelay.mcsim import (
@@ -100,8 +101,9 @@ GOLDEN_COUNTS = {
 
 def golden_grid(name):
     if name != "mixed":
-        return [preset_config(name, source_power=10.0, lbi_r_hat=0.1, target_rate=r)
-                for r in GOLDEN_RATES]
+        base = preset_config(name, source_power=10.0)
+        lbi = dataclasses.replace(base.lbi_fading, r_hat=0.1)
+        return [dataclasses.replace(base, lbi_fading=lbi, target_rate=r) for r in GOLDEN_RATES]
     base = preset_config("rayleigh", source_power=10.0)
     return [dataclasses.replace(base, target_rate=r,
                                 hop1_fading=AlphaMuParams(2.5, 1.3),
@@ -121,7 +123,7 @@ def test_estimates_do_not_depend_on_the_thread_count(monkeypatch):
     # a mu sweep gives a shape triple per cell, and the weibull alpha sweep
     # puts several fading triples under the shapes of nakagami at mu 1;
     # 4 shape triples of 2 blocks each, the last one partial
-    grid = [preset_config("nakagami", mu=mu, target_rate=r)
+    grid = [apply_sweep_value(preset_config("nakagami", target_rate=r), "mu", mu)
             for mu in (0.8, 1.0, 1.7, 3.0) for r in (1.0, 2.5)]
     base = preset_config("weibull", target_rate=1.5)
     grid += [dataclasses.replace(base, hop1_fading=AlphaMuParams(a, 1.0),

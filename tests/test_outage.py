@@ -5,7 +5,7 @@ from scipy import integrate, special
 
 from fdrelay import outage, specfun
 from fdrelay.errors import DomainError
-from fdrelay.fading import ProductDistParams, cdf_product, pdf_power, cdf_power, _cdf_product_meijer
+from fdrelay.fading import ProductDistParams, pdf_power, cdf_power, _cdf_product_meijer
 from fdrelay.mcsim import simulate_grid
 from fdrelay.outage import OutageResult, outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
@@ -71,7 +71,7 @@ def test_outage_af_endpoint_neighborhood_mass():
 
     def integrand(v):
         arg = c.nu * (c.beta3 * v + c.beta4) / (c.beta1 - c.beta2 * c.nu * v)
-        return cdf_product(pp, arg) * pdf_power(cfg.lbi_fading, v)
+        return _cdf_product_meijer(pp, arg)[0] * pdf_power(cfg.lbi_fading, v)
 
     eps_v = v_star * 1e-9
     val, err = integrate.quad(integrand, v_star - eps_v, v_star, limit=200)
@@ -90,23 +90,26 @@ def test_outage_af_convergence_flag_propagates(monkeypatch):
 
 def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
     # shapes 1.5 and 2.50005 put F_Z in the near-integer band; when its
-    # interpolation route reports failure with its best kernel value, the
-    # engines return the same outage and error, flagged unconverged
+    # interpolation route reaches no value (err inf) but keeps its best
+    # kernel value, the engines return the same outage, with err inf,
+    # flagged unconverged.  The route fails below argument 6 only: from 6
+    # on the kernel takes the complement 1 - S over a series without a
+    # bound, which would change the value
     hop = dataclasses.replace(preset_config("rayleigh").hop1_fading, mu=1.5)
     cfg = dataclasses.replace(preset_config("rayleigh", target_rate=1.0), hop1_fading=hop,
                               hop2_fading=dataclasses.replace(hop, mu=2.50005))
     good = outage_df(cfg), outage_af(cfg)
     real = specfun._g_near_integer
 
-    def failing(delta, sigma, x):
-        value, err, _ = real(delta, sigma, x)
-        return value, err, False
+    def failing(s, delta, x):
+        value, err = real(s, delta, x)
+        return value, math.inf if x < 6.0 else err
 
     monkeypatch.setattr(specfun, "_g_near_integer", failing)
     for ref, res in zip(good, (outage_df(cfg), outage_af(cfg))):
         assert ref.converged and not res.converged
         assert res.value == ref.value
-        assert res.numeric_error == ref.numeric_error
+        assert res.numeric_error == math.inf
 
 
 @pytest.mark.parametrize("mu3", [0.5, 1.0, 2.0])
@@ -174,16 +177,20 @@ def test_outage_monotonic_quick():
     assert all(b <= a + 1e-12 for a, b in zip(df_p, df_p[1:]))
 
 
+def _weak_loopback(cfg, r_hat):
+    """``cfg`` with the loop-back envelope scale set to ``r_hat``."""
+    return dataclasses.replace(cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, r_hat=r_hat))
+
+
 def test_degenerate_loopback_leaves_product_term():
     # as the residual loop-back vanishes the outage reduces to the product
     # CDF at the destination threshold
-    cfg = preset_config("nakagami", source_power=1.0, target_rate=1.0,
-                        lbi_r_hat=1e-4)
+    cfg = _weak_loopback(preset_config("nakagami", source_power=1.0, target_rate=1.0), 1e-4)
     c = derive_constants(cfg)
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     path = 625.0
     z_th = c.nu * path * cfg.noise_dest_var / (c.kappa * cfg.source_power)
-    assert outage_df(cfg).value == pytest.approx(cdf_product(pp, z_th), abs=1e-9)
+    assert outage_df(cfg).value == pytest.approx(_cdf_product_meijer(pp, z_th)[0], abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["rayleigh", "weibull", "nakagami"])
@@ -192,7 +199,7 @@ def test_af_never_below_df_at_small_loopback_scales(name):
     # below its endpoint; AF must still keep all of it, and as the scale
     # vanishes AF meets DF, F_Z at the destination threshold
     for r_hat in (1e-4, 1e-6, 1e-10, 1e-50):
-        cfg = preset_config(name, lbi_r_hat=r_hat)
+        cfg = _weak_loopback(preset_config(name), r_hat)
         df, af = outage_df(cfg), outage_af(cfg)
         tol = af.numeric_error + df.numeric_error
         assert af.value >= df.value - tol, (r_hat, af, df)
