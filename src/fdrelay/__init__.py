@@ -12,7 +12,6 @@ from .fading import (
     ProductDistParams,
     cdf_power,
     pdf_power,
-    power_rate,
     sample_envelope,
 )
 from .mcsim import McEstimate, simulate_grid, simulate_outage
@@ -36,7 +35,6 @@ __all__ = [
     "ProductDistParams",
     "cdf_power",
     "pdf_power",
-    "power_rate",
     "sample_envelope",
     # config
     "DerivedConstants",

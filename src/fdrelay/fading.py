@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .specfun import (
+    EPS,
     ln_gamma,
     reg_lower_gamma,
     ShapePair,
@@ -31,6 +32,8 @@ from .specfun import (
     # under this name makes the next clamp search cold
     _PAIRS as _CLAMP_CACHE,
 )
+
+_MIN_NORMAL = 2.2250738585072014e-308   # the least positive normal double
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,13 @@ class AlphaMuParams:
     mu: float
     r_hat: float = 1.0
     ln_gamma_mu: float = field(init=False, repr=False, compare=False)  # ln Gamma(mu)
+    # lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha; inf when
+    # r_hat**alpha underflows and 0 when it overflows, where the branch power
+    # is 0 or inf in double precision
+    rate: float = field(init=False, repr=False, compare=False)
+    half_alpha: float = field(init=False, repr=False, compare=False)   # alpha / 2
+    # ln(alpha/2) + mu ln(rate), the leading sum of pdf_power's exponent
+    ln_pdf_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.alpha > 0.0:
@@ -53,20 +63,19 @@ class AlphaMuParams:
             raise DomainError(f"mu must be >= 0.5, got {self.mu}")
         if not self.r_hat > 0.0:
             raise DomainError(f"r_hat must be positive, got {self.r_hat}")
-        object.__setattr__(self, "ln_gamma_mu", ln_gamma(self.mu))
-
-
-def power_rate(p: AlphaMuParams) -> float:
-    """lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha.
-
-    inf when r_hat**alpha underflows and 0 when it overflows: the branch
-    power is then 0 or inf in double precision.
-    """
-    try:
-        scale = p.r_hat ** p.alpha
-    except OverflowError:
-        return 0.0
-    return p.mu / scale if scale > 0.0 else math.inf
+        try:
+            scale = self.r_hat ** self.alpha
+        except OverflowError:
+            rate = 0.0
+        else:
+            rate = self.mu / scale if scale > 0.0 else math.inf
+        try:
+            ln_pdf_norm = math.log(0.5 * self.alpha) + self.mu * math.log(rate)
+        except ValueError:   # alpha / 2 or the rate is 0 in double precision
+            ln_pdf_norm = -math.inf
+        for name, value in (("ln_gamma_mu", ln_gamma(self.mu)), ("rate", rate),
+                            ("half_alpha", 0.5 * self.alpha), ("ln_pdf_norm", ln_pdf_norm)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -84,17 +93,7 @@ class ProductDistParams:
                 f"closed-form product requires equal alphas, got "
                 f"{self.hop1.alpha} and {self.hop2.alpha}")
         object.__setattr__(self, "shapes", shape_pair(self.hop1.mu, self.hop2.mu))
-        object.__setattr__(self, "lam12", power_rate(self.hop1) * power_rate(self.hop2))
-
-    def kernel_arg(self, z: float) -> float:
-        """x = lam1 lam2 z^{alpha/2}, the argument of the F_Z kernel.
-
-        +inf when z^{alpha/2} overflows, where F_Z is exactly 1.
-        """
-        try:
-            return self.lam12 * z ** (0.5 * self.hop1.alpha)
-        except OverflowError:
-            return math.inf
+        object.__setattr__(self, "lam12", self.hop1.rate * self.hop2.rate)
 
 
 # ----------------------------------------------------------------------
@@ -104,11 +103,8 @@ def pdf_power(p: AlphaMuParams, x: float) -> float:
     """Density of the squared envelope at x > 0."""
     if not x > 0.0:
         raise DomainError(f"pdf_power requires x > 0, got {x}")
-    lam = power_rate(p)
-    half_am = 0.5 * p.alpha * p.mu
-    ln_f = (math.log(0.5 * p.alpha) + p.mu * math.log(lam)
-            + (half_am - 1.0) * math.log(x) - p.ln_gamma_mu
-            - lam * x ** (0.5 * p.alpha))
+    ln_f = (p.ln_pdf_norm + (p.half_alpha * p.mu - 1.0) * math.log(x) - p.ln_gamma_mu
+            - p.rate * x ** p.half_alpha)
     return math.exp(ln_f) if ln_f > -745.0 else 0.0
 
 
@@ -160,18 +156,36 @@ def product_arg_clamp(pp: ProductDistParams) -> float:
 def _cdf_product_meijer(pp: ProductDistParams, z: float):
     """(value, abs error) of F_Z(z), the CDF of the product of the two hop powers.
 
-    The one F_Z entry: the kernel ``_g2131_eval``, clamped to [0, 1].  The
-    error is inf exactly where no value was reached, and the value is then
-    the kernel's best.  The two clamped ends are exact to their error.
+    The one F_Z entry: the kernel ``_g2131_eval`` at x = lam12 z^{alpha/2},
+    clamped to [0, 1].  The error is inf exactly where no value was reached,
+    and the value is then the kernel's best.  The two clamped ends are exact
+    to their error: past the pair's clamp, and where x or z^{alpha/2} falls
+    below the least normal double.  There they keep too few bits to take F_Z
+    at, and F_Z is at most its value at max(lam12, 1) times that double.
     """
-    x = pp.kernel_arg(z)
-    if x < 1e-30:
-        # F is bounded by ~x^{min mu} |ln x|, far below any tolerance here
-        return 0.0, 1e-15
-    if x >= product_arg_clamp(pp):
+    try:
+        y = z ** pp.hop1.half_alpha
+    except OverflowError:   # z^{alpha/2} past the double range, where F_Z is exactly 1
+        y = math.inf
+    lam12 = pp.lam12
+    x = lam12 * y
+    pair = pp.shapes
+    clamp = pair.clamp
+    if clamp is None:
+        clamp = product_arg_clamp(pp)
+    if x < _MIN_NORMAL or y < _MIN_NORMAL:
+        # F_Z increases, and the exact x < max(lam12, 1) times the least normal double;
+        # 8 EPS covers the rounding of y and of that product
+        x = (lam12 if lam12 > 1.0 else 1.0) * (_MIN_NORMAL * (1.0 + 8.0 * EPS))
+        if x >= clamp:
+            return 0.0, 1.0
+        value, err = _g2131_eval(pair, x)
+        return 0.0, value + err
+    if x >= clamp:
         return 1.0, 1e-14
-    value, err = _g2131_eval(pp.shapes, x)
-    if not (math.isfinite(value) and math.isfinite(err)):
+    value, err = _g2131_eval(pair, x)
+    if not (-math.inf < value < math.inf and err < math.inf):
         # a kernel value or error that is not finite bounds nothing
         err = math.inf
-    return min(1.0, max(0.0, value)), err
+    # min(1, max(0, value)) by comparisons, nan to 0 as there
+    return (value if value < 1.0 else 1.0) if value > 0.0 else 0.0, err

@@ -26,7 +26,6 @@ from .fading import (
     ProductDistParams,
     cdf_power,
     pdf_power,
-    power_rate,
     _cdf_product_meijer,
 )
 from .quadrature import QuadratureSettings, integrate_adaptive
@@ -96,7 +95,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     nu = c.nu
     v_star = 1.0 / (c.kappa * nu)
     lbi = cfg.lbi_fading
-    lam3 = power_rate(lbi)
+    lam3 = lbi.rate
     a3 = lbi.alpha
     mu3 = lbi.mu
 
@@ -122,6 +121,9 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
+    # per-node constants; nu b2 v is (nu b2) v, as written below
+    b1, b3, b4, nu_b2 = c.beta1, c.beta3, c.beta4, c.beta2 * nu
+    mu3_m1, ln_gamma3, two_over_a3 = mu3 - 1.0, lbi.ln_gamma_mu, 2.0 / a3
 
     def lower_integrand(w):
         if w == 0.0:
@@ -129,15 +131,15 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
             # +inf below it, weighted by F_Z at v = 0
             if mu3 > 1.0:
                 return 0.0
-            f0 = f_z(nu * c.beta4 / c.beta1)
-            return f0 * math.exp(-lbi.ln_gamma_mu) if mu3 == 1.0 or f0 == 0.0 else math.inf
+            f0 = f_z(nu * b4 / b1)
+            return f0 * math.exp(-ln_gamma3) if mu3 == 1.0 or f0 == 0.0 else math.inf
         # 1 / Gamma(mu3) inside the exp: w^{mu3-1} e^{-w} alone passes the
         # double range at w = mu3 - 1 once mu3 is above about 172
-        ln_d = (mu3 - 1.0) * math.log(w) - w - lbi.ln_gamma_mu
+        ln_d = mu3_m1 * math.log(w) - w - ln_gamma3
         if ln_d < -745.0:
             return 0.0
-        v = (w / lam3) ** (2.0 / a3)
-        arg = nu * (c.beta3 * v + c.beta4) / (c.beta1 - c.beta2 * nu * v)
+        v = (w / lam3) ** two_over_a3
+        arg = nu * (b3 * v + b4) / (b1 - nu_b2 * v)
         return f_z(arg) * math.exp(ln_d)
 
     # seed panels on both the endpoint scale and the gamma-density scale;
@@ -155,8 +157,8 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         v = (1.0 - u) * v_star
         # b1 u underflows to 0 at subnormal source powers; the argument is
         # then past every clamp and F_Z is 1
-        den = c.beta1 * u
-        arg = nu * (c.beta3 * v + c.beta4) / den if den > 0.0 else math.inf
+        den = b1 * u
+        arg = nu * (b3 * v + b4) / den if den > 0.0 else math.inf
         return f_z(arg) * pdf_power(lbi, v) * scale_u
 
     bps_up = [1e-10, 1e-7, 1e-4, 1e-2, 0.1]

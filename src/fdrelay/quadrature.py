@@ -65,7 +65,7 @@ def gauss_kronrod(f, a: float, b: float):
         fz = f(mid + half * z)
         ig += wg * fz
         ik += wk * fz
-        ia += wk * abs(fz)
+        ia += wk * (fz if fz >= 0.0 else -fz)
     ig *= half
     ik *= half
     ia *= abs(half)

@@ -255,13 +255,13 @@ def _bessel_k_cf2(mu: float, x: float):
     q = c = a1
     a = -a1
     s = 1.0 + q * delh
-    for i in range(2, 500):
-        a -= 2 * (i - 1)
+    i = 1.0   # a float, so that a -= 2 (i - 1) and c / i stay float arithmetic
+    for _ in range(2, 500):
+        a -= i + i
+        i += 1.0
         c = -a * c / i
-        qnew = (q1 - b * q2) / a
-        q1 = q2
-        q2 = qnew
-        q += c * qnew
+        q1, q2 = q2, (q1 - b * q2) / a
+        q += c * q2
         b += 2.0
         d = 1.0 / (b + a * d)
         delh = (b * d - 1.0) * delh
@@ -354,6 +354,7 @@ def bessel_k(nu: float, x: float) -> float:
 _X_SERIES_MAX = 12.0   # beyond this the ascending series cancel too hard
 _NEAR_INTEGER = 1e-4   # branch-collision guard for the two-series form
 _INTERP_STEP = 1e-2    # node spacing in the gap for the near-integer band
+_X_NEAR_MIN = 1e-30    # the interpolation's error estimate is certified down to here
 
 
 def _noise_integer(v: float, scale: float):
@@ -373,7 +374,9 @@ def _scaled(s: ShapePair, ln_top: float, lnx: float, total: float, err: float):
     exp(ln_top) x^sigma / (Gamma(mu1) Gamma(mu2)) is applied as one exp,
     after the terms combine.  ``err`` is the sum's error in EPS units; the
     exponent's roundoff and the ln_gamma error of s.ln_norm (47 + 2 |ln
-    Gamma| ulp per shape) count once, on the value.
+    Gamma| ulp per shape) count once, on the value.  A value in or below the
+    subnormal range is off by up to (1 + |total|) half-spacings there, which
+    the error adds; it is absorbed by any error above about 1e-290.
     """
     ln_xs = s.sigma * lnx
     scale = math.exp(ln_top + ln_xs - s.ln_norm)
@@ -381,7 +384,7 @@ def _scaled(s: ShapePair, ln_top: float, lnx: float, total: float, err: float):
     # 94 ulp for the two ln_gamma floors, 4 for the exp and the products, and 1
     # for 2 |ln_norm| against 2 (|ln Gamma(mu1)| + |ln Gamma(mu2)|): ln Gamma > -0.1216
     lost = 99.0 + 2.0 * (abs(ln_top) + abs(ln_xs) + abs(s.ln_norm))
-    return value, (scale * err + lost * abs(value)) * EPS
+    return value, (scale * err + lost * abs(value)) * EPS + (1.0 + abs(total)) * 5e-324
 
 
 def _g_series_noninteger(s: ShapePair, delta: float, x: float):
@@ -399,26 +402,8 @@ def _g_series_noninteger(s: ShapePair, delta: float, x: float):
                            math.copysign(1.0, sin), ln_gamma(delta))
     ln_minus, sign, ln_plus = s.gammas[delta]
     k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
-
-    def branch(b_h, pochh_shift):
-        # sum_k x^k / (k! (1 + 2 b_h)_k) * weight_k, weight = 1/(sigma+b_h+k)
-        total = 0.0
-        term = 1.0
-        max_mag = 0.0
-        used = 0
-        for k in range(0, 600):
-            if k > 0:
-                term *= x / (k * (k + pochh_shift))
-            w = term / (sigma + b_h + k)
-            total += w
-            max_mag = max(max_mag, abs(w))
-            used = k
-            if k > k_decay and abs(w) < abs(total) * EPS:
-                break
-        return total, max_mag, used
-
-    s1, m1, u1 = branch(delta / 2.0, delta)
-    s2, m2, u2 = branch(-delta / 2.0, -delta)
+    s1, m1, u1 = _branch_sum(x, sigma + delta / 2.0, delta, k_decay)
+    s2, m2, u2 = _branch_sum(x, sigma + -delta / 2.0, -delta, k_decay)
     lnx = math.log(x)
     half = 0.5 * delta * lnx
     l1, l2 = ln_minus + half, ln_plus - half
@@ -431,6 +416,21 @@ def _g_series_noninteger(s: ShapePair, delta: float, x: float):
     # x^{+-delta/2} formed as floats
     mag = abs(t1) * m1 + abs(t2) * m2
     return _scaled(s, top, lnx, value, (32.0 + 2.0 * max(u1, u2)) * (mag + abs(value)))
+
+
+def _branch_sum(x: float, sb: float, shift: float, k_decay: float):
+    """sum_k x^k / (k! (1 + shift)_k) / (sb + k), its largest |term| and its last k."""
+    term = 1.0
+    total = w = term / sb
+    mag = abs(w)
+    for k in range(1, 600):
+        term *= x / (k * (k + shift))
+        w = term / (sb + k)
+        total += w
+        mag = w if w > mag else -w if -w > mag else mag
+        if k > k_decay and abs(w) < abs(total) * EPS:
+            break
+    return total, mag, k
 
 
 def _g_series_integer(s: ShapePair, d: int, x: float):
@@ -458,23 +458,22 @@ def _g_series_integer(s: ShapePair, d: int, x: float):
         t = sign * math.exp(c + e * lnx - top)
         t /= div
         total += t
-        mag = max(mag, abs(t))
+        mag = t if t > mag else -t if -t > mag else mag
     term = (-1.0 if d % 2 else 1.0) * math.exp(ln_main - top)
     k_decay = 2.0 * math.sqrt(x) + 4.0
     weights = s.weights
-    for k in range(0, 600):
+    for k in range(600):
         if k == len(weights):
             c = s.sigma + k + d / 2.0
-            weights.append((float(k * (d + k)), _digamma_int(k + 1) + _digamma_int(d + k + 1),
-                            1.0 / c, c))
-        kd, psi, inv_c, c = weights[k]
-        if k > 0:
-            term *= x / kd
+            weights.append((_digamma_int(k + 1) + _digamma_int(d + k + 1), 1.0 / c, c,
+                            float((k + 1) * (d + k + 1))))
+        psi, inv_c, c, kd_next = weights[k]
         contrib = term * (psi - lnx + inv_c) / c
         total += contrib
-        mag = max(mag, abs(contrib))
+        mag = contrib if contrib > mag else -contrib if -contrib > mag else mag
         if k > k_decay and abs(contrib) < abs(total) * EPS:
             break
+        term *= x / kd_next   # the step to term k + 1
     return _scaled(s, top, lnx, total, (32.0 + 2.0 * k) * (mag + abs(total)))
 
 
@@ -560,7 +559,7 @@ class ShapePair:
         # log-series (ln d!, [(sign, ln ((d-1-j)! / j!), exponent, divisor)] of
         # the d simple poles)
         self.log = None
-        # log-series [(k (d + k), psi(k+1) + psi(d+k+1), 1 / c, c)], c = sigma + k + d/2
+        # log-series [(psi(k+1) + psi(d+k+1), 1 / c, c, (k+1) (d+k+1))], c = sigma + k + d/2
         self.weights = []
         self.gammas = {}    # two-branch gap -> (ln |Gamma(-gap)|, its sign, ln Gamma(gap))
         r1, r2 = _reduced(mu1), _reduced(mu2)
@@ -732,7 +731,12 @@ def _g_near_integer(s: ShapePair, delta: float, x: float):
     node error times the Lebesgue constant at delta.  The interpolation
     error grows with |ln x| through x^{+-delta/2}: about 1e-10 relative at
     x = 1e-10 and 2e-8 at x = 1e-25 for gaps up to 6 and shapes from 0.5.
+    Below _X_NEAR_MIN, where the estimate no longer bounds that error, F_Z
+    is 0 to within F_Z(_X_NEAR_MIN), as F_Z increases with x.
     """
+    if x < _X_NEAR_MIN:
+        value, err = _g_near_integer(s, delta, _X_NEAR_MIN)
+        return 0.0, value + err
     d = s.d
     h = _INTERP_STEP
     ks = range(7) if d == 0 else range(-3, 4)
@@ -780,7 +784,7 @@ def _g2131_eval(pair: ShapePair, x: float):
     if x > _X_SERIES_MAX:
         return _g_complement(pair, x)
     value, err = _g_series(pair, x)
-    if err > 3e-9 * abs(value) and x >= 6.0:
+    if x >= 6.0 and err > 3e-9 * abs(value):
         complement = _g_complement(pair, x)
         if complement[1] < err:
             return complement

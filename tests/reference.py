@@ -27,7 +27,7 @@ def pdf_product(pp: ProductDistParams, z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"pdf_product requires z > 0, got {z}")
     a = pp.hop1.alpha
-    kval = bessel_k(pp.shapes.delta, 2.0 * math.sqrt(pp.kernel_arg(z)))
+    kval = bessel_k(pp.shapes.delta, 2.0 * math.sqrt(pp.lam12 * z ** (0.5 * a)))
     if kval == 0.0:
         return 0.0
     ln_f = (math.log(a) + pp.shapes.sigma * math.log(pp.lam12)

@@ -21,7 +21,6 @@ from fdrelay.fading import (
     ProductDistParams,
     cdf_power,
     pdf_power,
-    power_rate,
     sample_envelope,
     _cdf_product_meijer,
 )
@@ -48,7 +47,7 @@ def test_criterion_1_distribution_correctness():
     rng = np.random.default_rng(MC_SEED)
     for name in PRESET_NAMES:
         p = preset_config(name).hop1_fading
-        upper_r = (60.0 / power_rate(p)) ** (1.0 / p.alpha)
+        upper_r = (60.0 / p.rate) ** (1.0 / p.alpha)
         val = cdf_power(p, upper_r * upper_r)
         assert abs(val - 1.0) <= 1e-8, f"{name}: envelope mass {val}"
         upper_x = upper_r ** 2

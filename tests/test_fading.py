@@ -1,7 +1,9 @@
 """Distribution-level tests: reductions, normalization, oracles, sampling."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,7 +17,6 @@ from fdrelay.fading import (
     ProductDistParams,
     cdf_power,
     pdf_power,
-    power_rate,
     sample_envelope,
     _cdf_product_meijer,
 )
@@ -45,9 +46,9 @@ def test_params_validation():
 
 def test_power_lambda():
     p = AlphaMuParams(alpha=3.0, mu=2.0, r_hat=2.0)
-    assert power_rate(p) == pytest.approx(2.0 / 8.0)
+    assert p.rate == pytest.approx(2.0 / 8.0)
     # r_hat^alpha past the double range: the branch power is inf
-    assert power_rate(AlphaMuParams(alpha=2.0, mu=1.0, r_hat=1e200)) == 0.0
+    assert AlphaMuParams(alpha=2.0, mu=1.0, r_hat=1e200).rate == 0.0
 
 
 def test_product_params_alpha_mismatch():
@@ -100,7 +101,7 @@ def test_pdf_power_gamma_case():
 @given(params_strategy)
 def test_pdf_power_normalizes(p):
     # this is the arbiter for the rate-constant exponent convention
-    upper = (60.0 / power_rate(p)) ** (2.0 / p.alpha)
+    upper = (60.0 / p.rate) ** (2.0 / p.alpha)
     val, err = integrate.quad(lambda x: pdf_power(p, x), 0.0, upper, limit=200)
     assert val == pytest.approx(1.0, abs=5e-9)
 
@@ -134,7 +135,7 @@ def test_pdf_product_normalizes():
         def f(t):
             z = t ** (2.0 / a)
             return pdf_product(pp, z) * (2.0 / a) * t ** (2.0 / a - 1.0)
-        ll = power_rate(pp.hop1) * power_rate(pp.hop2)
+        ll = pp.lam12
         val, err = integrate.quad(f, 0.0, 2500.0 / ll, limit=400)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -169,6 +170,48 @@ def test_cdf_product_tiny_argument_with_large_shapes():
     pp = _pp(2.0, 15.0, 16.00005)
     value, err = _cdf_product_meijer(pp, 1e-25)
     assert 0.0 <= value <= 1.0 and math.isfinite(err)
+
+
+def _cdf_product_mpmath(mu1, mu2, lam12, z, half_alpha):
+    """P(Y1 Y2 <= lam12 z^half_alpha) for unit-rate gammas of shapes mu1, mu2, at 50 digits."""
+    with mpmath.workdps(50):
+        m1, m2 = mpmath.mpf(mu1), mpmath.mpf(mu2)
+        x = mpmath.mpf(lam12) * mpmath.mpf(z) ** mpmath.mpf(half_alpha)
+        return mpmath.meijerg([[1], []], [[m1, m2], [0]], x) / (
+            mpmath.gamma(m1) * mpmath.gamma(m2))
+
+
+# (alpha, mu1, mu2, r_hat, z), with kernel argument x = lam12 z^{alpha/2}
+# and lam12 = mu1 mu2 at r_hat 1: the log-series, the two-branch series and
+# the near-integer band below x = 1e-30, down to the least normal double; below
+# it, x formed in the subnormals, z^{alpha/2} subnormal under a large lam12
+# (r_hat 1e-3 or 1e-2), and x underflowing to 0
+SMALL_ARGUMENT_CELLS = (
+    (2.0, 0.5, 0.5, 1.0, 3.9996e-30), (2.0, 0.5, 0.5, 1.0, 4e-100),
+    (2.0, 0.5, 0.5, 1.0, 4e-300), (2.0, 1.0, 3.0, 1.0, 1e-60 / 3.0),
+    (2.0, 1.3, 1.8, 1.0, 1e-200 / 2.34), (2.0, 0.5, 30.0, 1.0, 1e-150 / 15.0),
+    (2.0, 2.2, 1.2, 1.0, 1e-80 / 2.64), (2.0, 0.5, 0.50005, 1.0, 1e-40 / 0.250025),
+    (2.0, 2.0, 3.00005, 1.0, 1e-31 / 6.0001), (3.0, 0.5, 0.5, 1.0, 1.13e-204),
+    (2.0, 1.0, 1.0, 1.0, 1e-320), (2.0, 0.5, 0.5, 1.0, 1.2345678e-320),
+    (3.0, 0.5, 0.5, 1.0, 1e-214), (2.0, 0.5, 6.50009, 1.0, 5e-324),
+    (3.0, 0.5, 0.5, 1e-3, 1.23456789e-213), (5.0, 0.5, 0.5, 1e-2, 1e-127),
+    (3.0, 1.3, 1.8, 1e-3, 3.3e-213), (2.0, 0.5, 0.5, 1.0, 0.0), (3.0, 1.3, 1.8, 1.0, 0.0),
+)
+
+
+@pytest.mark.parametrize("alpha, mu1, mu2, r_hat, z", SMALL_ARGUMENT_CELLS)
+def test_cdf_product_below_kernel_argument_1e_30(alpha, mu1, mu2, r_hat, z):
+    # F_Z at x = 0.9999e-30 and mu 0.5/0.5 is 4.45e-14: a value of 0 with err
+    # 1e-15 below 1e-30 bounded nothing; nor, below the least normal double,
+    # does a value taken at an x or z^{alpha/2} that kept only a few bits
+    pp = ProductDistParams(AlphaMuParams(alpha, mu1, r_hat), AlphaMuParams(alpha, mu2, r_hat))
+    half_alpha = 0.5 * alpha
+    value, err = _cdf_product_meijer(pp, z)
+    ref = _cdf_product_mpmath(mu1, mu2, pp.lam12, z, half_alpha)
+    assert abs(value - ref) <= err, (value, float(ref), err)
+    normal = min(z ** half_alpha, pp.lam12 * z ** half_alpha) >= sys.float_info.min
+    if pp.shapes.route != "near" and normal:
+        assert abs(value - ref) <= 1e-12 * ref
 
 
 def test_cdf_product_dual_route_spot_grid():
