@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from .errors import DomainError
 from .specfun import (
     EPS,
-    ln_gamma,
     reg_lower_gamma,
     ShapePair,
     shape_pair,
@@ -73,7 +72,7 @@ class AlphaMuParams:
             ln_pdf_norm = math.log(0.5 * self.alpha) + self.mu * math.log(rate)
         except ValueError:   # alpha / 2 or the rate is 0 in double precision
             ln_pdf_norm = -math.inf
-        for name, value in (("ln_gamma_mu", ln_gamma(self.mu)), ("rate", rate),
+        for name, value in (("ln_gamma_mu", math.lgamma(self.mu)), ("rate", rate),
                             ("half_alpha", 0.5 * self.alpha), ("ln_pdf_norm", ln_pdf_norm)):
             object.__setattr__(self, name, value)
 

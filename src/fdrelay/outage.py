@@ -36,6 +36,9 @@ DF_ANALYTIC = "df_analytic"
 AF_ANALYTIC = "af_analytic"
 HIGH_SNR = "high_snr"
 
+# the error floor of every outage value: the roundoff of its last few operations
+_ERR_FLOOR = 8.0 * EPS
+
 
 @dataclass(frozen=True)
 class OutageResult:
@@ -70,7 +73,7 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
     f_z, f_z_err = _cdf_product_meijer(pp, c.nu / c.dest_coef)
     value = 1.0 - f_v * (1.0 - f_z)
     # f_v * inf would be nan at f_v = 0
-    err = f_v * f_z_err + 8.0 * EPS if math.isfinite(f_z_err) else math.inf
+    err = f_v * f_z_err + _ERR_FLOOR if math.isfinite(f_z_err) else math.inf
     return OutageResult(value=min(1.0, max(0.0, value)), method=DF_ANALYTIC,
                         numeric_error=err, converged=math.isfinite(err))
 
@@ -110,12 +113,12 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     if lam3 == 0.0:
         # the loop-back power is inf in double precision, so the relay
         # SNR 1/(kappa V) is 0 and every block is in outage
-        return OutageResult(value=1.0, method=AF_ANALYTIC, numeric_error=8.0 * EPS)
+        return OutageResult(value=1.0, method=AF_ANALYTIC, numeric_error=_ERR_FLOOR)
     if lam3 == math.inf:
         # the loop-back power is 0 in double precision, so the AF SNR is
         # b1 Z / b4 and no integral over V remains
         value = f_z(nu * c.beta4 / c.beta1)
-        err = math.inf if f_z_failed else 8.0 * EPS
+        err = math.inf if f_z_failed else _ERR_FLOOR
         return OutageResult(value=value, method=AF_ANALYTIC, numeric_error=err,
                             converged=math.isfinite(err))
 
@@ -150,8 +153,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     bps_lo = sorted({b for b in bps_lo if 0.0 < b < w_mid})
     val_lo, err_lo, ok_lo = integrate_adaptive(
         lower_integrand, 0.0, w_mid, settings, breakpoints=bps_lo)
-    # upper half in u = 1 - kappa nu v, u in (0, 1/2]
-    scale_u = 1.0 / (c.kappa * nu)
+    # upper half in u = 1 - kappa nu v, u in (0, 1/2], where dv = v* du
 
     def upper_integrand(u):
         v = (1.0 - u) * v_star
@@ -159,7 +161,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         # then past every clamp and F_Z is 1
         den = b1 * u
         arg = nu * (b3 * v + b4) / den if den > 0.0 else math.inf
-        return f_z(arg) * pdf_power(lbi, v) * scale_u
+        return f_z(arg) * pdf_power(lbi, v) * v_star
 
     bps_up = [1e-10, 1e-7, 1e-4, 1e-2, 0.1]
     val_up, err_up, ok_up = integrate_adaptive(
@@ -167,7 +169,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
 
     tail = 1.0 - cdf_power(lbi, v_star)
     value = tail + val_lo + val_up
-    err = math.inf if f_z_failed else err_lo + err_up + 8.0 * EPS
+    err = math.inf if f_z_failed else err_lo + err_up + _ERR_FLOOR
     return OutageResult(value=min(1.0, max(0.0, value)),
                         method=AF_ANALYTIC, numeric_error=err,
                         converged=ok_lo and ok_up and math.isfinite(err))
@@ -181,4 +183,4 @@ def outage_high_snr(cfg: SystemConfig) -> OutageResult:
     c = derive_constants(cfg)
     value = 1.0 - cdf_power(cfg.lbi_fading, 1.0 / (c.kappa * c.nu))
     return OutageResult(value=min(1.0, max(0.0, value)),
-                        method=HIGH_SNR, numeric_error=8.0 * EPS)
+                        method=HIGH_SNR, numeric_error=_ERR_FLOOR)

@@ -10,9 +10,10 @@ analytic engines traces back to here.
 from __future__ import annotations
 
 import heapq
+import sys
 from dataclasses import dataclass
 
-_EPS = 2.220446049250313e-16
+_EPS = sys.float_info.epsilon
 
 # (node, Gauss weight, Kronrod weight) on [-1, 1]; zero Gauss weight marks
 # Kronrod-only nodes.

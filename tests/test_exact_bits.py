@@ -32,18 +32,18 @@ CELLS = {
 
 # name: ((DF value, DF err), (AF value, AF err)) as float.hex
 PINNED = {
-    "log-series": (('0x1.ecb6cded4a24ap-2', '0x1.617545d5d38f1p-46'),
-                  ('0x1.5e29366f3402ep-1', '0x1.8918f5dc00a33p-28')),
-    "two-branch": (('0x1.f01cc08e36c26p-2', '0x1.c5f65a7291622p-45'),
-                  ('0x1.604b1f0ab7aefp-1', '0x1.8b9ea63958d76p-28')),
-    "near-integer": (('0x1.9048241a83e7cp-2', '0x1.68353689be56ap-38'),
-                    ('0x1.48feaf24f736cp-1', '0x1.dd724d3405452p-29')),
-    "integer-complement": (('0x1.fffce9e058849p-1', '0x1.05266419e305bp-49'),
-                          ('0x1.ffffe4ee9ae33p-1', '0x1.1badbd7fcbddap-32')),
+    "log-series": (('0x1.ecb6cded4a28ap-2', '0x1.617545d5d3921p-46'),
+                  ('0x1.5e29366f34074p-1', '0x1.8918f5cdde698p-28')),
+    "two-branch": (('0x1.f01cc08e36bd6p-2', '0x1.c5f65a729161bp-45'),
+                  ('0x1.604b1f0ab72d0p-1', '0x1.8b9e9f6a7ab13p-28')),
+    "near-integer": (('0x1.9048241a84132p-2', '0x1.6879fafa7bdcap-38'),
+                    ('0x1.48feaf24f9d5bp-1', '0x1.dd723489d3735p-29')),
+    "integer-complement": (('0x1.fffce9e058849p-1', '0x1.05266419e305cp-49'),
+                          ('0x1.ffffe4ee9ae34p-1', '0x1.1badbd755b1c2p-32')),
     "residual-complement": (('0x1.fff219cd22fa6p-1', '0x1.00df181b96343p-49'),
-                           ('0x1.ffff0e5f14ae7p-1', '0x1.a9e8762f8b978p-39')),
+                           ('0x1.ffff0e5f14ae7p-1', '0x1.a9e8762dc5209p-39')),
     "clamped": (('0x1.0000000000000p+0', '0x1.00da72db91f3cp-49'),
-               ('0x1.ffffffffffffbp-1', '0x1.5c7665abb456ep-45')),
+               ('0x1.ffffffffffffbp-1', '0x1.5c7665b6c2cd8p-45')),
 }
 
 

@@ -16,10 +16,10 @@ from scipy import integrate, special
 
 from fdrelay import quadrature, specfun
 from fdrelay.errors import DomainError
+from fdrelay.fading import AlphaMuParams
 from fdrelay.quadrature import QuadratureSettings, integrate_to_infinity
 from fdrelay.specfun import (
     bessel_k,
-    ln_gamma,
     reg_lower_gamma,
     shape_pair,
     ShapePair,
@@ -39,31 +39,47 @@ mpmath.mp.dps = 30
 
 
 # ----------------------------------------------------------------------
-# ln_gamma
+# ln Gamma, from libm: the values the package keeps, against mpmath
+
+def _assert_ln_gamma_within_budget(value, x):
+    # (8 + 2 |ln Gamma|) EPS: a ln Gamma tens of ulp off near 1.5 puts the
+    # two-branch nodes of the near-integer route outside their err
+    with mpmath.workdps(40):
+        ref = mpmath.loggamma(mpmath.mpf(x))
+        assert abs(mpmath.mpf(value) - ref) <= (8 + 2 * abs(ref)) * specfun.EPS, x
+
+
+def test_ln_gamma_of_each_shape_is_within_budget():
+    mus = np.concatenate([np.linspace(0.5, 3.5, 601), np.geomspace(3.5, 200.0, 200)[1:]])
+    for mu in mus:
+        _assert_ln_gamma_within_budget(AlphaMuParams(2.0, float(mu)).ln_gamma_mu, float(mu))
+    # the fractional parts of non-integer shapes, which the kernel tail reads
+    for f in np.linspace(0.0, 1.0, 402)[1:-1]:
+        pair = shape_pair(1.0 + f, 3.0 + f)
+        for r in (pair.a, pair.b):
+            assert 0.0 < r.f < 1.0
+            _assert_ln_gamma_within_budget(r.ln_gamma_f, r.f)
+
+
+def _pair_ln_gamma(mu):
+    pair = shape_pair(mu, 2.5)
+    return next(r.ln_gamma_mu for r in (pair.a, pair.b) if r.mu == mu)
+
 
 def test_ln_gamma_known_points():
-    assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-14)
-    assert ln_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
-    assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
+    # ln Gamma(mu) as the fading parameters and the kernel's pair state keep it
+    for mu, expected in ((1.0, 0.0), (0.5, math.log(math.sqrt(math.pi))),
+                         (5.0, math.log(24.0))):
+        for value in (AlphaMuParams(2.0, mu).ln_gamma_mu, _pair_ln_gamma(mu)):
+            assert value == pytest.approx(expected, rel=1e-14, abs=1e-14), mu
 
 
 def test_ln_gamma_matches_gamma_to_contract():
     for x in np.linspace(0.5, 50.0, 1201):
-        assert math.exp(ln_gamma(float(x))) == pytest.approx(
+        assert math.exp(AlphaMuParams(2.0, float(x)).ln_gamma_mu) == pytest.approx(
             float(special.gamma(x)), rel=1e-13)
-
-
-def test_ln_gamma_domain():
-    with pytest.raises(DomainError):
-        ln_gamma(0.0)
-    with pytest.raises(DomainError):
-        ln_gamma(-3.2)
-
-
-@given(st.floats(min_value=0.05, max_value=60.0))
-def test_ln_gamma_recurrence(x):
-    # Gamma(x + 1) = x Gamma(x), independent of any reference library
-    assert ln_gamma(x + 1.0) == pytest.approx(ln_gamma(x) + math.log(x), abs=1e-11)
+        assert math.exp(_pair_ln_gamma(float(x))) == pytest.approx(
+            float(special.gamma(x)), rel=1e-13)
 
 
 def test_digamma_int_matches_scipy():
@@ -585,6 +601,25 @@ def test_near_integer_gap_matches_mpmath():
                 assert abs(value - ref) <= err, cell
                 if x >= 1e-10:
                     assert abs(value - ref) <= 1e-10 * abs(ref), cell
+
+
+def test_two_branch_nodes_of_the_near_integer_route_bound_their_error():
+    # the route's nodes off the integer gap d, at the pair's sigma and
+    # normalisation, where the branches cancel about 100-fold: 108 nodes,
+    # whose err holds only with ln Gamma(gap) and ln Gamma(1 + gap) a few ulp off
+    for d in (1, 2, 3):
+        for sigma in (2.0, 3.5, 5.0):
+            pair = ShapePair(sigma - d / 2.0, sigma + d / 2.0)
+            for k in (-3, -2, -1, 1, 2, 3):
+                gap = d + k * specfun._INTERP_STEP
+                for x in (10.0, 11.9):
+                    value, err = specfun._g_series_noninteger(pair, gap, x)
+                    with mpmath.workdps(40):
+                        s, h, xm = mpmath.mpf(sigma), mpmath.mpf(gap) / 2, mpmath.mpf(x)
+                        g = mpmath.meijerg([[1 - s], []], [[h, -h], [-s]], xm)
+                        ref = xm ** s * g / (mpmath.gamma(mpmath.mpf(pair.a.mu))
+                                             * mpmath.gamma(mpmath.mpf(pair.b.mu)))
+                    assert abs(value - ref) <= err, (d, sigma, gap, x)
 
 
 # F_Z where the normalisation Gamma(mu1) Gamma(mu2) or a series prefactor
