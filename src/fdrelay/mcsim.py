@@ -8,13 +8,15 @@ gamma, Bessel, or Meijer code paths.
 
 Reproducibility contract: draw i of branch j (hop 1, hop 2, loop-back) is
 draw i mod ``_BLOCK`` of block i // ``_BLOCK``, and block b of branch j
-comes from the Philox (counter-based) stream
+comes from the PCG64DXSM stream
 ``SeedSequence(seed, spawn_key=(*shape_key, j, b))``, where ``shape_key``
 is a SHA-256 hash of the three branch shapes (mu1, mu2, mu3) and nothing
 else.  A last partial block takes the first draws of its stream.
 The stream draws unit-scale gamma variates g; alpha, r_hat, powers, rate,
 harvesting, noise and geometry are deterministic transforms applied to
-them.  The estimate is a pure function of (seed, config, n).  Consequences:
+them.  The estimate is a pure function of (seed, config, n).  Versions
+that drew these blocks from Philox streams give other MC rows, which differ
+from these within their standard errors.  Consequences:
 
 * results never depend on grid position or on the other cells of a grid,
   so a cell of ``simulate_grid`` equals ``simulate_outage`` on that cell,
@@ -88,7 +90,7 @@ def _unit_gammas(shapes, shape_key, seed: int, block: int, out):
     """Fill out[j] with the first unit-scale gamma draws of block ``block`` of branch j."""
     for j, (mu, row) in enumerate(zip(shapes, out)):
         ss = np.random.SeedSequence(seed, spawn_key=(*shape_key, j, block))
-        np.random.Generator(np.random.Philox(ss)).standard_gamma(mu, out=row)
+        np.random.Generator(np.random.PCG64DXSM(ss)).standard_gamma(mu, out=row)
 
 
 def _power(g, p, out):

@@ -68,8 +68,7 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
     """
     c = derive_constants(cfg)
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
-    v_star = 1.0 / (c.kappa * c.nu)
-    f_v = cdf_power(cfg.lbi_fading, v_star)
+    f_v = cdf_power(cfg.lbi_fading, c.v_star)
     f_z, f_z_err = _cdf_product_meijer(pp, c.nu / c.dest_coef)
     value = 1.0 - f_v * (1.0 - f_z)
     # f_v * inf would be nan at f_v = 0
@@ -96,7 +95,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     c = derive_constants(cfg)
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     nu = c.nu
-    v_star = 1.0 / (c.kappa * nu)
+    v_star = c.v_star
     lbi = cfg.lbi_fading
     lam3 = lbi.rate
     a3 = lbi.alpha
@@ -181,6 +180,6 @@ def outage_high_snr(cfg: SystemConfig) -> OutageResult:
     Only the loop-back leg survives: P -> 1 - F_V(1/(kappa nu)).
     """
     c = derive_constants(cfg)
-    value = 1.0 - cdf_power(cfg.lbi_fading, 1.0 / (c.kappa * c.nu))
+    value = 1.0 - cdf_power(cfg.lbi_fading, c.v_star)
     return OutageResult(value=min(1.0, max(0.0, value)),
                         method=HIGH_SNR, numeric_error=_ERR_FLOOR)

@@ -85,6 +85,15 @@ class DerivedConstants:
     beta3: float      # path * relay noise variance
     beta4: float      # beta3 / kappa
 
+    @property
+    def v_star(self) -> float:
+        """Loop-back threshold 1/(kappa nu): above it the relay SNR is below nu.
+
+        A property, not a field, so that constants differing only in nu stay
+        equal after ``replace(c, nu=0.0)``.
+        """
+        return 1.0 / (self.kappa * self.nu)
+
 
 def derive_constants(cfg: SystemConfig) -> DerivedConstants:
     """Evaluate the scenario constants used throughout the outage formulas."""

@@ -92,10 +92,10 @@ def test_grid_cells_equal_single_cell_runs():
 GOLDEN_N = 100_003
 GOLDEN_RATES = (0.5, 1.5, 3.0)
 GOLDEN_COUNTS = {
-    "rayleigh": [[3082, 3138], [13410, 14265], [60114, 71297]],
-    "weibull": [[390, 401], [4159, 4557], [47843, 68863]],
-    "nakagami": [[101, 103], [2274, 2573], [44992, 66298]],
-    "mixed": [[1297, 1613], [51904, 55960], [92820, 95505]],
+    "rayleigh": [[3131, 3186], [13531, 14419], [59984, 71167]],
+    "weibull": [[372, 384], [4290, 4690], [47696, 68631]],
+    "nakagami": [[77, 78], [2255, 2544], [44997, 66571]],
+    "mixed": [[1352, 1706], [52067, 56008], [92747, 95454]],
 }
 
 
@@ -181,6 +181,34 @@ def test_partial_block_takes_the_first_draws():
     _unit_gammas(shapes, _shape_key(shapes), 3, 2, part)
     for a, b in zip(full, part):
         assert np.array_equal(a[:1000], b)
+
+
+@pytest.mark.parametrize("block, m", [(0, _BLOCK), (3, 1000)])
+def test_each_block_is_its_own_pcg64dxsm_stream(block, m):
+    shapes, seed = (0.6, 1.0, 2.5), 2024
+    key = _shape_key(shapes)
+    out = np.empty((3, m))
+    _unit_gammas(shapes, key, seed, block, out)
+    for j, (mu, row) in enumerate(zip(shapes, out)):
+        ss = np.random.SeedSequence(seed, spawn_key=(*key, j, block))
+        expected = np.random.Generator(np.random.PCG64DXSM(ss)).standard_gamma(mu, m)
+        assert np.array_equal(row, expected), j
+
+
+def test_rate_sweep_shares_one_snr_chain_per_mode_and_block(monkeypatch):
+    # cells that differ only in the rate differ only in nu, which the SNR
+    # chain does not read; a per-rate chain would run gamma_eff 12 times
+    grid = [preset_config("nakagami", target_rate=0.5 * k) for k in range(1, 13)]
+    calls, gamma_eff = [], mcsim.gamma_eff
+
+    def spy(mode, z, v, c, out=None):
+        calls.append(mode)
+        return gamma_eff(mode, z, v, c, out=out)
+
+    monkeypatch.setattr(mcsim, "gamma_eff", spy)
+    simulate_grid(grid, ("df", "af"), GOLDEN_N, 5)
+    blocks = -(-GOLDEN_N // _BLOCK)
+    assert sorted(calls) == ["af"] * blocks + ["df"] * blocks
 
 
 def test_rate_sweep_monotone():
