@@ -33,6 +33,8 @@ from .specfun import (
 )
 
 _MIN_NORMAL = 2.2250738585072014e-308   # the least positive normal double
+# 1 - F_Z past the clamp: the search's threshold and the clamped value's error
+_CLAMP_TAIL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ def sample_envelope(p: AlphaMuParams, rng, size=None):
 # product of two powers (equal alpha)
 
 def product_arg_clamp(pp: ProductDistParams) -> float:
-    """Smallest kernel argument x beyond which 1 - F_Z < 1e-14.
+    """Smallest kernel argument x beyond which 1 - F_Z < _CLAMP_TAIL.
 
     The survival 1 - F_Z is the kernel tail S; found once per shape pair by
     expanding search and kept in the pair's state.
@@ -145,7 +147,7 @@ def product_arg_clamp(pp: ProductDistParams) -> float:
     if pair.clamp is None:
         x = 40.0
         for _ in range(40):
-            if _kernel_tail(pair, x)[0] < 1e-14:
+            if _kernel_tail(pair, x)[0] < _CLAMP_TAIL:
                 break
             x *= 1.6
         pair.clamp = x
@@ -181,7 +183,7 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
         value, err = _g2131_eval(pair, x)
         return 0.0, value + err
     if x >= clamp:
-        return 1.0, 1e-14
+        return 1.0, _CLAMP_TAIL
     value, err = _g2131_eval(pair, x)
     if not (-math.inf < value < math.inf and err < math.inf):
         # a kernel value or error that is not finite bounds nothing

@@ -7,8 +7,9 @@ cross-check in the test suite:
                        power series below the s+1 crossover, Lentz
                        continued fraction above it
 * ``bessel_k``         modified Bessel function of the second kind for real
-                       order, uniform Temme series for x <= 2 crossed with a
-                       Steed continued fraction beyond it
+                       order, the tests' reference: an integral by adaptive
+                       quadrature.  The engines take only Steed's continued
+                       fraction above x = 2 (``_bessel_k_scaled``).
 * ``_g2131_eval``      the one Meijer G instance needed here: the kernel that
                        closes the CDF F_Z of a product of two gamma-power
                        variates, returned as F_Z itself.  Evaluated by its
@@ -52,29 +53,6 @@ from .quadrature import QuadratureSettings, integrate_adaptive
 EPS = sys.float_info.epsilon
 EULER_GAMMA = 0.5772156649015328606065120900824024
 _LN2 = 0.6931471805599453094172321214581766
-
-_BERNOULLI = (1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30, 5.0 / 66, -691.0 / 2730, 7.0 / 6)
-
-
-def _zeta_int(k: int, n_direct: int = 28) -> float:
-    """Riemann zeta at integer k >= 2, Euler-Maclaurin tail correction."""
-    s = float(k)
-    total = sum(n ** -s for n in range(1, n_direct))
-    total += n_direct ** (1.0 - s) / (s - 1.0) + 0.5 * n_direct ** -s
-    rising = s
-    npow = n_direct ** (-s - 1.0)
-    fact = 2.0
-    for j, b in enumerate(_BERNOULLI, start=1):
-        if j > 1:
-            rising *= (s + 2 * j - 3) * (s + 2 * j - 2)
-            npow /= n_direct * n_direct
-            fact *= (2 * j - 1) * (2 * j)
-        total += b / fact * rising * npow
-    return total
-
-
-# zeta(2) .. zeta(39), enough for the Temme coefficients at |mu| <= 0.5
-_ZETAS = tuple(_zeta_int(k) for k in range(2, 40))
 
 
 # ----------------------------------------------------------------------
@@ -150,67 +128,6 @@ def reg_lower_gamma(s: float, x: float) -> float:
 # ----------------------------------------------------------------------
 # modified Bessel function of the second kind
 
-def _temme_coefficients(mu: float):
-    """Stable gam1, gam2 and the reciprocal gammas for |mu| <= 0.5.
-
-    Writes 1/Gamma(1 +- mu) = E exp(+-w) with E and w even/odd zeta series
-    in mu, so gam1 = -E sinh(w)/mu survives mu -> 0 without cancellation.
-    """
-    even_sum = 0.0
-    w = EULER_GAMMA * mu
-    p = mu * mu
-    k = 2
-    for z in _ZETAS:
-        if k % 2 == 0:
-            even_sum += z * p / k
-        else:
-            w += z * p / k
-        p *= mu
-        k += 1
-        if abs(p) < 1e-40:
-            break
-    # below 1e-150 w/mu equals EULER_GAMMA to double precision, while
-    # dividing by a subnormal mu would lose every digit of the quotient
-    w_over_mu = w / mu if abs(mu) > 1e-150 else EULER_GAMMA
-    e_fac = math.exp(-even_sum)
-    sinhc = math.sinh(w) / w if w != 0.0 else 1.0
-    gam1 = -e_fac * sinhc * w_over_mu
-    gam2 = e_fac * math.cosh(w)
-    inv_gamma_1p = e_fac * math.exp(w)   # 1 / Gamma(1 + mu)
-    inv_gamma_1m = e_fac * math.exp(-w)  # 1 / Gamma(1 - mu)
-    return gam1, gam2, inv_gamma_1p, inv_gamma_1m
-
-
-def _bessel_k_series(mu: float, x: float):
-    """Temme series for (K_mu, K_{mu+1}) at x <= 2, |mu| <= 0.5. Unscaled."""
-    x2 = 0.5 * x
-    pimu = math.pi * mu
-    fact = pimu / math.sin(pimu) if abs(pimu) > 1e-15 else 1.0
-    d = -math.log(x2)
-    e = mu * d
-    fact2 = math.sinh(e) / e if abs(e) > 1e-15 else 1.0
-    gam1, gam2, inv_g1p, inv_g1m = _temme_coefficients(mu)
-    ff = fact * (gam1 * math.cosh(e) + gam2 * fact2 * d)
-    total = ff
-    ee = math.exp(e)
-    p = 0.5 * ee / inv_g1p
-    q = 0.5 / (ee * inv_g1m)
-    c = 1.0
-    x2sq = x2 * x2
-    total1 = p
-    for i in range(1, 500):
-        ff = (i * ff + p + q) / (i * i - mu * mu)
-        c *= x2sq / i
-        p /= (i - mu)
-        q /= (i + mu)
-        delta = c * ff
-        total += delta
-        total1 += c * (p - i * ff)
-        if abs(delta) < abs(total) * EPS:
-            break
-    return total, total1 * (2.0 / x)
-
-
 def _bessel_k_cf2(mu: float, x: float):
     """Steed continued fraction for (K_mu, K_{mu+1}) at x > 2, |mu| <= 0.5.
 
@@ -267,42 +184,55 @@ def _k_upward(mu: float, rk: float, rk1: float, x: float, n_up: int, orders: int
 
 
 def _bessel_k_scaled(nu: float, x: float, orders: int | None = None):
-    """e^x K_nu(x) for nu >= 0, x > 0.
+    """e^x K_nu(x) for nu >= 0, x > 2: the engines' K, at arguments from 2 sqrt(6).
 
     With ``orders`` = n, the list e^x K_{nu+j}(x), j = 0 .. n-1, off one
     continued fraction and one upward recurrence.
     """
+    if not x > 2.0:
+        raise DomainError(f"the continued-fraction K takes x > 2, got {x}")
     n_up = int(nu + 0.5)
     mu = nu - n_up
-    if x <= 2.0:
-        rk, rk1 = _bessel_k_series(mu, x)
-        scale = math.exp(x)
-        rk *= scale
-        rk1 *= scale
-    else:
-        rk, rk1 = _bessel_k_cf2(mu, x)
+    rk, rk1 = _bessel_k_cf2(mu, x)
     return _k_upward(mu, rk, rk1, x, n_up, orders)
 
 
-def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x), x > 0.
+# rel_tol above the 50 EPS roundoff floor of each Gauss-Kronrod panel
+_K_QUADRATURE = QuadratureSettings(abs_tol=1e-300, rel_tol=1e-13)
 
-    Order symmetry K_nu = K_{-nu} is applied internally.  Underflows to 0
-    for very large x instead of raising.
+
+def bessel_k(nu: float, x: float) -> float:
+    """Modified Bessel function of the second kind K_nu(x), x > 0: the reference K.
+
+    Int_0^inf e^{-x cosh t} cosh(nu t) dt (DLMF 10.32.9) by ``integrate_adaptive``,
+    sharing no code with the engines' K.  The exponent phi(t) = nu t - x (cosh t - 1)
+    is taken relative to its peak phi* at t* = asinh(nu / x) and e^{phi* - x} is
+    applied as a log: K is inf past the double range and 0 below it.  Its
+    relative error grows as nu t* EPS, the rounding of the exponent's parts.
     """
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x}")
+    if x == math.inf:
+        return 0.0
     nu = abs(nu)
-    if x > 740.0:
-        # e^-x below the normal range once the polynomial factors are applied
-        scaled = _bessel_k_scaled(nu, x)
-        ln_val = math.log(scaled) - x
-        return math.exp(ln_val) if ln_val > -745.0 else 0.0
-    if x <= 2.0:
-        n_up = int(nu + 0.5)
-        mu = nu - n_up
-        return _k_upward(mu, *_bessel_k_series(mu, x), x, n_up, None)
-    return _bessel_k_scaled(nu, x) * math.exp(-x)
+    r = math.hypot(nu, x)   # x cosh(t*) = -phi''(t*)
+    # asinh(nu / x) without the quotient, which overflows at subnormal x
+    t_peak = math.log(nu + r) - math.log(x)
+    top = nu * (t_peak - nu / (r + x))   # phi*, as x (cosh t* - 1) = r - x = nu^2 / (r + x)
+
+    def f(t):
+        sh = math.sinh(0.5 * t)   # x (cosh t - 1) = 2 x sh^2, inf rather than nan at huge x
+        return math.exp(nu * t - 2.0 * (x * sh * sh) - top) * 0.5 * (1.0 + math.exp(-2.0 * nu * t))
+
+    # phi(t* + s) <= phi* - r (cosh s - 1) <= phi* - r (e^s / 2 - 1), which is phi* - 40 at t_max
+    t_max = t_peak + _LN2 + math.log(40.0 + r) - math.log(r)
+    width = 3.0 / math.sqrt(r)   # three widths of the peak
+    try:   # sinh overflows only past t = 1420, which takes nu / x > e^1400, where K is inf
+        val = integrate_adaptive(f, 0.0, t_max, _K_QUADRATURE,
+                                 breakpoints=(t_peak - width, t_peak, t_peak + width))[0]
+        return math.exp(math.log(val) + top - x)
+    except OverflowError:   # K past the double range
+        return math.inf
 
 
 # ----------------------------------------------------------------------

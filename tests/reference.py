@@ -2,7 +2,8 @@
 
 Neither shares code with the package's F_Z route (``_cdf_product_meijer``
 and its series and tail kernels): the density is the closed Bessel form,
-and the CDF integrates that kernel by adaptive quadrature.
+and the CDF integrates that kernel by adaptive quadrature.  The Bessel
+factor is scipy's ``kv``, so no Bessel code is shared with the package.
 
 The product density carries the symmetric prefactor
 ``(lam1*lam2)**((mu1+mu2)/2)``, a convention the normalization tests enforce.
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import math
 
+from scipy.special import kv
+
 from fdrelay.errors import DomainError
 from fdrelay.fading import ProductDistParams
 from fdrelay.quadrature import QuadratureSettings, integrate_adaptive
-from fdrelay.specfun import bessel_k
 
 
 def pdf_product(pp: ProductDistParams, z: float) -> float:
@@ -27,7 +29,7 @@ def pdf_product(pp: ProductDistParams, z: float) -> float:
     if not z > 0.0:
         raise DomainError(f"pdf_product requires z > 0, got {z}")
     a = pp.hop1.alpha
-    kval = bessel_k(pp.shapes.delta, 2.0 * math.sqrt(pp.lam12 * z ** (0.5 * a)))
+    kval = float(kv(pp.shapes.delta, 2.0 * math.sqrt(pp.lam12 * z ** (0.5 * a))))
     if kval == 0.0:
         return 0.0
     ln_f = (math.log(a) + pp.shapes.sigma * math.log(pp.lam12)
@@ -51,10 +53,10 @@ def _cdf_product_quadrature(pp: ProductDistParams, z: float):
 
     def f(t):
         arg = 2.0 * math.sqrt(ll * t)
-        kv = bessel_k(delta, arg)
-        if kv == 0.0:
+        kval = float(kv(delta, arg))
+        if kval == 0.0:
             return 0.0
-        ln_f = (sigma - 1.0) * math.log(t) + math.log(kv)
+        ln_f = (sigma - 1.0) * math.log(t) + math.log(kval)
         return math.exp(ln_f) if ln_f > -745.0 else 0.0
 
     # scales where the kernel argument passes interesting magnitudes

@@ -24,15 +24,12 @@ from fdrelay.specfun import (
     shape_pair,
     ShapePair,
     _LAGUERRE_20,
-    _bessel_k_cf2,
     _bessel_k_scaled,
-    _bessel_k_series,
     _digamma_int,
     _g2131_eval,
     _g_complement,
     _g_series,
     _kernel_tail,
-    _zeta_int,
 )
 
 mpmath.mp.dps = 30
@@ -85,11 +82,6 @@ def test_ln_gamma_matches_gamma_to_contract():
 def test_digamma_int_matches_scipy():
     for n in (1, 2, 5, 40):
         assert _digamma_int(n) == pytest.approx(float(special.digamma(n)), rel=1e-13)
-
-
-def test_zeta_table():
-    for k in (2, 3, 7, 20):
-        assert _zeta_int(k) == pytest.approx(float(mpmath.zeta(k)), rel=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -162,15 +154,42 @@ def test_bessel_k_order_symmetry():
 
 
 def test_bessel_k_dual_method_overlap():
-    # series and continued fraction evaluated at the same switchover point
-    for nu in (0.0, 0.25, 1.0, 0.5):
-        n_up = int(nu + 0.5)
-        mu = nu - n_up
-        via_series = _bessel_k_series(mu, 2.0)
-        via_cf = _bessel_k_cf2(mu, 2.0)
-        scale = math.exp(-2.0)
-        for a, b in zip(via_series, via_cf):
-            assert a == pytest.approx(b * scale, rel=1e-10)
+    # the reference integral against the engines' continued fraction
+    for nu in (0.0, 0.25, 0.5, 1.0, 3.7, 12.0):
+        for x in (2.5, 6.0, 30.0, 300.0):
+            assert bessel_k(nu, x) == pytest.approx(
+                _bessel_k_scaled(nu, x) * math.exp(-x), rel=1e-10), (nu, x)
+
+
+def test_bessel_k_shares_no_code_with_the_engines_k(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("continued-fraction K called")
+
+    for name in ("_bessel_k_cf2", "_k_upward", "_bessel_k_scaled"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    for nu in (0.0, 0.5, 3.7, 20.0):
+        for x in (1e-8, 0.5, 2.0, 6.0, 300.0):
+            assert bessel_k(nu, x) == pytest.approx(
+                float(special.kv(nu, x)), rel=1e-10), (nu, x)
+
+
+def test_continued_fraction_k_takes_only_x_above_2():
+    for x in (2.0, 1.0, 1e-3):
+        with pytest.raises(DomainError):
+            _bessel_k_scaled(0.3, x)
+        with pytest.raises(DomainError):
+            _bessel_k_scaled(2.0, x, 3)
+
+
+def test_bessel_k_past_the_double_range_and_at_subnormal_x():
+    # inf where K leaves the double range, never an OverflowError
+    for nu, x in ((5.0, 1e-300), (20.0, 1e-20), (200.5, 3.0), (150.0, 1e-3)):
+        assert bessel_k(nu, x) == math.inf, (nu, x)
+    # K_0(x) = ln(2 / x) - gamma + O(x^2 ln x): finite down to the least subnormal
+    assert bessel_k(0.0, 1e-300) == pytest.approx(690.8914594138721, rel=1e-10)
+    with mpmath.workdps(30):
+        ref = float(mpmath.besselk(0, mpmath.mpf(5e-324)))
+    assert bessel_k(0.0, 5e-324) == pytest.approx(ref, rel=1e-10)
 
 
 def test_bessel_k_contract_domain_against_scipy(rng):
