@@ -131,7 +131,7 @@ def _fading_from_dict(d, where):
 
 def config_from_dict(d) -> SystemConfig:
     """Strict-schema SystemConfig: unknown keys rejected, invariants enforced."""
-    _object(d, "config", _CONFIG_KEYS, optional=("eh_time_fraction", "block_time"))
+    _object(d, "config", _CONFIG_KEYS, optional=("eh_time_fraction",))
     if "eh_time_fraction" not in d:
         print("warning: eh_time_fraction missing, defaulting to 0.5", file=sys.stderr)
     kwargs = {key: _fading_from_dict(value, key) if key in _BRANCHES

@@ -17,11 +17,13 @@ enforce.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError
 from .specfun import (
     EPS,
+    EXP_UNDERFLOW,
     reg_lower_gamma,
     ShapePair,
     shape_pair,
@@ -32,7 +34,7 @@ from .specfun import (
     _PAIRS as _CLAMP_CACHE,
 )
 
-_MIN_NORMAL = 2.2250738585072014e-308   # the least positive normal double
+_MIN_NORMAL = sys.float_info.min   # the least positive normal double
 # 1 - F_Z past the clamp: the search's threshold and the clamped value's error
 _CLAMP_TAIL = 1e-14
 
@@ -106,7 +108,7 @@ def pdf_power(p: AlphaMuParams, x: float) -> float:
         raise DomainError(f"pdf_power requires x > 0, got {x}")
     ln_f = (p.ln_pdf_norm + (p.half_alpha * p.mu - 1.0) * math.log(x) - p.ln_gamma_mu
             - p.rate * x ** p.half_alpha)
-    return math.exp(ln_f) if ln_f > -745.0 else 0.0
+    return math.exp(ln_f) if ln_f > EXP_UNDERFLOW else 0.0
 
 
 def cdf_power(p: AlphaMuParams, x: float) -> float:

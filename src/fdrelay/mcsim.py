@@ -1,8 +1,8 @@
 """Monte Carlo outage estimator.
 
 The simulator draws channel powers through the exact gamma-power transform,
-pushes them through the package's one SNR chain (``relaysys.gamma_eff``),
-and counts threshold crossings.  It is the independent validation leg for
+pushes them through the package's one SNR chain (``gamma_eff``), and
+counts threshold crossings.  It is the independent validation leg for
 every closed form in the package: nothing here touches the incomplete
 gamma, Bessel, or Meijer code paths.
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .relaysys import SystemConfig, derive_constants, gamma_eff
+from .relaysys import DerivedConstants, SystemConfig, derive_constants
 
 _BLOCK = 1 << 16
 _Z975 = 1.959963984540054  # two-sided 95% normal quantile
@@ -64,7 +64,6 @@ class McEstimate:
     stderr: float
     ci_low: float
     ci_high: float
-    seed: int
 
 
 def wilson_interval(p_hat: float, n: int):
@@ -100,6 +99,29 @@ def _power(g, p, out):
         out **= 2.0 / p.alpha
     out *= p.r_hat * p.r_hat
     return out
+
+
+def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
+    """Effective end-to-end SNR for Z = h1^2 h2^2 and V = h3^2, elementwise.
+
+    "df": min(1/(kappa V), kappa P_S Z / (path sigma_D^2)), the smaller of
+    the relay-side SNR (the source and loop-back terms both scale with the
+    source power, so only kappa and V remain) and the destination SNR.
+    "af": b1 Z / (b2 V Z + b3 V + b4), bounded above by 1/(kappa V): the
+    loop-back floor survives any source power.  Outage is gamma < nu.
+
+    With ``out`` (an array the shape of z and v, neither of which it may
+    be) the result is written there, bit for bit the same; z and v are
+    never written.
+    """
+    if mode == "df":
+        t = np.divide(1.0, np.multiply(v, c.kappa, out=out), out=out)
+        return np.minimum(t, c.dest_coef * z, out=out)
+    if mode == "af":
+        t = np.multiply(np.multiply(v, c.beta2, out=out), z, out=out)
+        t = np.add(np.add(t, c.beta3 * v, out=out), c.beta4, out=out)
+        return np.divide(c.beta1 * z, t, out=out)
+    raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")
 
 
 def _workers() -> int:
@@ -202,15 +224,15 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
 
     workers = max(1, min(_workers(), len(jobs)))
     counts = sum(_run_on_threads(count_jobs, workers))
-    return [[_estimate(int(count), n, seed) for count in row] for row in counts]
+    return [[_estimate(int(count), n) for count in row] for row in counts]
 
 
-def _estimate(count: int, n: int, seed: int) -> McEstimate:
+def _estimate(count: int, n: int) -> McEstimate:
     p_hat = count / n
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
     lo, hi = wilson_interval(p_hat, n)
     return McEstimate(p_hat=p_hat, n_samples=n, stderr=stderr,
-                      ci_low=lo, ci_high=hi, seed=seed)
+                      ci_low=lo, ci_high=hi)
 
 
 def simulate_outage(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstimate:

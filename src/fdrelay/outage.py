@@ -30,11 +30,7 @@ from .fading import (
 )
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .relaysys import SystemConfig, derive_constants
-from .specfun import EPS
-
-DF_ANALYTIC = "df_analytic"
-AF_ANALYTIC = "af_analytic"
-HIGH_SNR = "high_snr"
+from .specfun import EPS, EXP_UNDERFLOW
 
 # the error floor of every outage value: the roundoff of its last few operations
 _ERR_FLOOR = 8.0 * EPS
@@ -42,14 +38,13 @@ _ERR_FLOOR = 8.0 * EPS
 
 @dataclass(frozen=True)
 class OutageResult:
-    """Outage value with its method tag and a numerical error estimate.
+    """Outage value with a numerical error estimate.
 
     ``numeric_error`` is inf where F_Z reached no value; ``converged`` is
     false then, or where AF's quadrature did not converge.
     """
 
     value: float
-    method: str
     numeric_error: float
     converged: bool = True
 
@@ -73,8 +68,8 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
     value = 1.0 - f_v * (1.0 - f_z)
     # f_v * inf would be nan at f_v = 0
     err = f_v * f_z_err + _ERR_FLOOR if math.isfinite(f_z_err) else math.inf
-    return OutageResult(value=min(1.0, max(0.0, value)), method=DF_ANALYTIC,
-                        numeric_error=err, converged=math.isfinite(err))
+    return OutageResult(value=min(1.0, max(0.0, value)), numeric_error=err,
+                        converged=math.isfinite(err))
 
 
 def outage_af(cfg: SystemConfig) -> OutageResult:
@@ -112,14 +107,13 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     if lam3 == 0.0:
         # the loop-back power is inf in double precision, so the relay
         # SNR 1/(kappa V) is 0 and every block is in outage
-        return OutageResult(value=1.0, method=AF_ANALYTIC, numeric_error=_ERR_FLOOR)
+        return OutageResult(value=1.0, numeric_error=_ERR_FLOOR)
     if lam3 == math.inf:
         # the loop-back power is 0 in double precision, so the AF SNR is
         # b1 Z / b4 and no integral over V remains
         value = f_z(nu * c.beta4 / c.beta1)
         err = math.inf if f_z_failed else _ERR_FLOOR
-        return OutageResult(value=value, method=AF_ANALYTIC, numeric_error=err,
-                            converged=math.isfinite(err))
+        return OutageResult(value=value, numeric_error=err, converged=math.isfinite(err))
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
@@ -138,7 +132,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         # 1 / Gamma(mu3) inside the exp: w^{mu3-1} e^{-w} alone passes the
         # double range at w = mu3 - 1 once mu3 is above about 172
         ln_d = mu3_m1 * math.log(w) - w - ln_gamma3
-        if ln_d < -745.0:
+        if ln_d < EXP_UNDERFLOW:
             return 0.0
         v = (w / lam3) ** two_over_a3
         arg = nu * (b3 * v + b4) / (b1 - nu_b2 * v)
@@ -169,8 +163,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     tail = 1.0 - cdf_power(lbi, v_star)
     value = tail + val_lo + val_up
     err = math.inf if f_z_failed else err_lo + err_up + _ERR_FLOOR
-    return OutageResult(value=min(1.0, max(0.0, value)),
-                        method=AF_ANALYTIC, numeric_error=err,
+    return OutageResult(value=min(1.0, max(0.0, value)), numeric_error=err,
                         converged=ok_lo and ok_up and math.isfinite(err))
 
 
@@ -181,5 +174,4 @@ def outage_high_snr(cfg: SystemConfig) -> OutageResult:
     """
     c = derive_constants(cfg)
     value = 1.0 - cdf_power(cfg.lbi_fading, c.v_star)
-    return OutageResult(value=min(1.0, max(0.0, value)),
-                        method=HIGH_SNR, numeric_error=_ERR_FLOOR)
+    return OutageResult(value=min(1.0, max(0.0, value)), numeric_error=_ERR_FLOOR)

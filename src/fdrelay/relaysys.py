@@ -3,22 +3,20 @@
 Each block of duration T splits into a harvesting slot (fraction eta) and a
 data slot.  The relay has no battery: it retransmits with whatever power the
 first-hop signal delivered, so the relay power is proportional to the
-instantaneous first-hop channel gain.  Because the relay listens while it
-transmits, a residual loop-back channel survives interference cancellation
-and caps the relay-side SNR.
+instantaneous first-hop channel gain.  The energy harvested over eta T is
+spent over (1 - eta) T, so T cancels out of every SNR.  Because the relay
+listens while it transmits, a residual loop-back channel survives
+interference cancellation and caps the relay-side SNR.
 
-This module holds the immutable scenario description, the constants derived
-from it, and the effective SNR of both relay strategies (decode-and-forward,
-amplify-and-forward): the one SNR chain the Monte Carlo engine and the
-tests share.
+This module holds the immutable scenario description and the constants
+derived from it; the effective SNR of both relay strategies is
+``mcsim.gamma_eff``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .fading import AlphaMuParams
@@ -42,8 +40,6 @@ class SystemConfig:
     eh_efficiency: float                # (0, 1]
     eh_time_fraction: float             # (0, 1)
     target_rate: float                  # bits/s/Hz
-    block_time: float = 1.0             # s
-    noise_relay_var: float = field(init=False)  # antenna + conversion
 
     def __post_init__(self):
         positives = {
@@ -56,7 +52,6 @@ class SystemConfig:
             "noise_conversion_var": self.noise_conversion_var,
             "noise_dest_var": self.noise_dest_var,
             "target_rate": self.target_rate,
-            "block_time": self.block_time,
         }
         for name, v in positives.items():
             if not v > 0.0:
@@ -67,9 +62,6 @@ class SystemConfig:
         if not 0.0 < self.eh_time_fraction < 1.0:
             raise DomainError(
                 f"eh_time_fraction must be in (0, 1), got {self.eh_time_fraction}")
-        object.__setattr__(
-            self, "noise_relay_var",
-            self.noise_antenna_var + self.noise_conversion_var)
 
 
 @dataclass(frozen=True)
@@ -78,11 +70,10 @@ class DerivedConstants:
 
     kappa: float      # eh_efficiency * eta / (1 - eta)
     nu: float         # SNR threshold supporting the target rate
-    path: float       # d1^m1 d2^m2, the two-hop path-loss product
-    dest_coef: float  # kappa * source power / (path * destination noise)
+    dest_coef: float  # kappa P_S / (path sigma_D^2), path = d1^m1 d2^m2
     beta1: float      # source power
     beta2: float      # kappa * source power
-    beta3: float      # path * relay noise variance
+    beta3: float      # path * (antenna + conversion noise variance)
     beta4: float      # beta3 / kappa
 
     @property
@@ -115,37 +106,13 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         raise DomainError(
             f"path-loss product d1^m1 d2^m2 = {path:g} must be finite and above 0 "
             f"in double precision")
-    beta3 = path * cfg.noise_relay_var
+    beta3 = path * (cfg.noise_antenna_var + cfg.noise_conversion_var)
     return DerivedConstants(
         kappa=kappa,
         nu=nu,
-        path=path,
         dest_coef=kappa * cfg.source_power / (path * cfg.noise_dest_var),
         beta1=cfg.source_power,
         beta2=kappa * cfg.source_power,
         beta3=beta3,
         beta4=beta3 / kappa,
     )
-
-
-def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
-    """Effective end-to-end SNR for Z = h1^2 h2^2 and V = h3^2, elementwise.
-
-    "df": min(1/(kappa V), kappa P_S Z / (path sigma_D^2)), the smaller of
-    the relay-side SNR (the source and loop-back terms both scale with the
-    source power, so only kappa and V remain) and the destination SNR.
-    "af": b1 Z / (b2 V Z + b3 V + b4), bounded above by 1/(kappa V): the
-    loop-back floor survives any source power.  Outage is gamma < nu.
-
-    With ``out`` (an array the shape of z and v, neither of which it may
-    be) the result is written there, bit for bit the same; z and v are
-    never written.
-    """
-    if mode == "df":
-        t = np.divide(1.0, np.multiply(v, c.kappa, out=out), out=out)
-        return np.minimum(t, c.dest_coef * z, out=out)
-    if mode == "af":
-        t = np.multiply(np.multiply(v, c.beta2, out=out), z, out=out)
-        t = np.add(np.add(t, c.beta3 * v, out=out), c.beta4, out=out)
-        return np.divide(c.beta1 * z, t, out=out)
-    raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")

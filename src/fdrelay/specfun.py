@@ -51,6 +51,8 @@ from .errors import DomainError
 from .quadrature import QuadratureSettings, integrate_adaptive
 
 EPS = sys.float_info.epsilon
+# exp(x) at or below this is at most the least subnormal double: taken as 0
+EXP_UNDERFLOW = -745.0
 EULER_GAMMA = 0.5772156649015328606065120900824024
 _LN2 = 0.6931471805599453094172321214581766
 
@@ -90,7 +92,7 @@ def reg_lower_gamma(s: float, x: float) -> float:
     if x == math.inf:
         return 1.0
     lnpre = -x + s * math.log(x) - math.lgamma(s)
-    pre = math.exp(lnpre) if lnpre > -745.0 else 0.0
+    pre = math.exp(lnpre) if lnpre > EXP_UNDERFLOW else 0.0
     if x < s + 1.0:
         ap = s
         term = 1.0 / s
@@ -219,6 +221,8 @@ def bessel_k(nu: float, x: float) -> float:
     # asinh(nu / x) without the quotient, which overflows at subnormal x
     t_peak = math.log(nu + r) - math.log(x)
     top = nu * (t_peak - nu / (r + x))   # phi*, as x (cosh t* - 1) = r - x = nu^2 / (r + x)
+    if top - x < -800.0:   # K <= e^{phi* - x} t_max underflows, however phi is rounded
+        return 0.0
 
     def f(t):
         sh = math.sinh(0.5 * t)   # x (cosh t - 1) = 2 x sh^2, inf rather than nan at huge x

@@ -9,6 +9,7 @@ benchmark scripts are only read.
 A name in ``fdrelay.__all__`` must be read outside the module that defines
 it, or by ``bench/``, or be the return type of an exported function: the
 package exports what the CLI and the engines call and the types they return.
+Only the Monte Carlo leg, ``mcsim``, imports numpy.
 """
 
 import ast
@@ -77,3 +78,17 @@ def test_every_export_has_a_caller():
               and not any(n == name and m not in (HOME.get(name), "__init__")
                           for m, _, n in SRC_READS)]
     assert not unused, f"exported by fdrelay but used only by tests or its own module: {unused}"
+
+
+def _imports_numpy(node):
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "numpy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy"
+
+
+def test_only_mcsim_imports_numpy():
+    # the analytic leg and the scenario run on floats alone; walked, not
+    # imported, because importing fdrelay imports mcsim
+    importers = {stem for stem, body in SRC.items() for stmt in body
+                 for node in ast.walk(stmt) if _imports_numpy(node)}
+    assert importers == {"mcsim"}

@@ -76,7 +76,7 @@ def test_preset_families():
     for cfg in (r, w, n):
         assert cfg.hop1_distance == cfg.hop2_distance == 5.0
         assert cfg.hop1_pathloss == cfg.hop2_pathloss == 2.0
-        assert cfg.noise_relay_var == pytest.approx(1e-4)
+        assert cfg.noise_antenna_var + cfg.noise_conversion_var == pytest.approx(1e-4)
         assert cfg.noise_dest_var == pytest.approx(1e-4)
         assert cfg.noise_antenna_var == cfg.noise_conversion_var
         assert cfg.eh_efficiency == 1.0
@@ -474,7 +474,10 @@ _HOP_NULL_ALPHA = dict(GOOD_CONFIG["hop1_fading"], alpha=None)
     ({"id": "s", "config": GOOD_CONFIG, "sweep": 5}, "sweep"),
     ({"id": "s", "config": dict(GOOD_CONFIG, hop1_fading=_HOP_NULL_ALPHA)},
      "hop1_fading.alpha"),
-], ids=["power-string", "sweep-start-string", "sweep-not-object", "hop-alpha-null"])
+    # the block time T cancels out of every SNR, so the schema has no key for it
+    ({"id": "s", "config": dict(GOOD_CONFIG, block_time=1.0)}, "block_time"),
+], ids=["power-string", "sweep-start-string", "sweep-not-object", "hop-alpha-null",
+        "block-time-key"])
 def test_malformed_scenario_value_exits_2(tmp_path, capsys, scenario, needle):
     code = _scenario_main(tmp_path, scenario, "--method", "analytic")
     _assert_config_error(code, capsys, needle)
@@ -825,8 +828,6 @@ def _engine_scenarios(draw):
            "eh_efficiency": draw(_log_uniform(1e-3, 1.0)),
            "eh_time_fraction": draw(st.floats(0.01, 0.99)),
            "target_rate": draw(_log_uniform(1e-3, 20.0))}
-    if draw(st.booleans()):
-        cfg["block_time"] = draw(_log_uniform(1e-3, 1e3))
     doc = {"id": "engine", "config": cfg}
     if draw(st.booleans()):
         start = draw(_log_uniform(1e-3, 20.0))

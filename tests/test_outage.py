@@ -16,9 +16,9 @@ import dataclasses
 
 def test_outage_result_validation():
     with pytest.raises(DomainError):
-        OutageResult(value=1.2, method="df_analytic", numeric_error=0.0)
+        OutageResult(value=1.2, numeric_error=0.0)
     with pytest.raises(DomainError):
-        OutageResult(value=0.5, method="df_analytic", numeric_error=-1.0)
+        OutageResult(value=0.5, numeric_error=-1.0)
 
 
 def test_outage_df_rayleigh_closed_form():
@@ -31,7 +31,6 @@ def test_outage_df_rayleigh_closed_form():
     res = outage_df(cfg)
     assert res.value == pytest.approx(expected, abs=1e-10)
     assert res.value == pytest.approx(0.8129524963713193, abs=1e-12)
-    assert res.method == "df_analytic"
 
 
 def test_outage_df_limits():
@@ -154,7 +153,6 @@ def test_outage_high_snr_examples():
     cfg = preset_config("rayleigh")   # kappa=1, nu=3, lambda3=1
     res = outage_high_snr(cfg)
     assert res.value == pytest.approx(math.exp(-1.0 / 3.0), rel=1e-12)
-    assert res.method == "high_snr"
     tiny = preset_config("rayleigh", target_rate=1e-9)
     assert outage_high_snr(tiny).value < 1e-9
 

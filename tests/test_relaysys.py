@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from fdrelay.errors import DomainError
 from fdrelay.fading import AlphaMuParams
-from fdrelay.relaysys import SystemConfig, derive_constants, gamma_eff
+from fdrelay.mcsim import gamma_eff
+from fdrelay.relaysys import SystemConfig, derive_constants
 from fdrelay.presets import preset_config
 
 
@@ -34,18 +35,21 @@ def gamma_at(mode, cfg, h1, h2, h3):
 
 # The physical model written out from the scenario fields, independent of
 # derive_constants: the relay harvests during the first eta*T of the block
-# and spends it all during the data slot.
+# and spends it all during the data slot.  The scenario has no block time T,
+# since T cancels out of the relay power; a block of T != 1 shows that here.
+BLOCK_TIME = 2.5   # s
+
 
 def harvested_energy(cfg, h1):
     """Energy collected during the harvesting slot (noise harvest dropped)."""
-    return (cfg.eh_efficiency * cfg.eh_time_fraction * cfg.block_time
+    return (cfg.eh_efficiency * cfg.eh_time_fraction * BLOCK_TIME
             * cfg.source_power * h1 * h1
             / cfg.hop1_distance ** cfg.hop1_pathloss)
 
 
 def relay_power(cfg, h1):
     """Transmit power at the relay: the harvest spread over the data slot."""
-    return harvested_energy(cfg, h1) / ((1.0 - cfg.eh_time_fraction) * cfg.block_time)
+    return harvested_energy(cfg, h1) / ((1.0 - cfg.eh_time_fraction) * BLOCK_TIME)
 
 
 def snr_af_longform(cfg, h1, h2, h3):
@@ -54,7 +58,7 @@ def snr_af_longform(cfg, h1, h2, h3):
     d1m = cfg.hop1_distance ** cfg.hop1_pathloss
     d2m = cfg.hop2_distance ** cfg.hop2_pathloss
     h1s, h2s, h3s = h1 ** 2, h2 ** 2, h3 ** 2
-    sr2 = cfg.noise_relay_var
+    sr2 = cfg.noise_antenna_var + cfg.noise_conversion_var
     num = cfg.source_power * h1s * h2s
     den = (pr * d1m * h2s * h3s
            + cfg.source_power * d2m * h1s * sr2 / pr
@@ -81,8 +85,9 @@ def test_config_validation():
 
 
 def test_relay_noise_is_sum_of_stages():
+    # beta3 = path * relay noise, with path 1 here
     cfg = make_cfg(noise_antenna_var=3e-5, noise_conversion_var=7e-5)
-    assert cfg.noise_relay_var == pytest.approx(1e-4, rel=1e-15)
+    assert derive_constants(cfg).beta3 == pytest.approx(1e-4, rel=1e-15)
 
 
 def test_derive_constants_examples():
@@ -92,7 +97,6 @@ def test_derive_constants_examples():
     assert c.nu == pytest.approx(3.0)             # rate 1 over half a block
     cfg5 = preset_config("rayleigh")
     c5 = derive_constants(cfg5)
-    assert c5.path == pytest.approx(625.0, rel=1e-15)     # 5^2 5^2
     assert c5.dest_coef == pytest.approx(16.0, rel=1e-14)  # 1 W / (625 * 1e-4)
     assert c5.beta3 == pytest.approx(0.0625, rel=1e-14)   # 5^2 5^2 1e-4
     assert c5.beta1 == pytest.approx(1.0)
@@ -103,10 +107,10 @@ def test_derive_constants_examples():
 def test_harvested_energy_examples():
     # pins the harvest model under the long-form AF oracle to hand figures
     cfg = make_cfg()
-    assert harvested_energy(cfg, 1.0) == pytest.approx(0.5, rel=1e-15)
+    assert harvested_energy(cfg, 1.0) == pytest.approx(0.5 * BLOCK_TIME, rel=1e-15)
     assert harvested_energy(cfg, 1e-9) < 1e-15
     cfg2 = make_cfg(source_power=10.0, hop1_distance=5.0)
-    assert harvested_energy(cfg2, 2.0) == pytest.approx(0.8, rel=1e-14)
+    assert harvested_energy(cfg2, 2.0) == pytest.approx(0.8 * BLOCK_TIME, rel=1e-14)
 
 
 @given(st.floats(min_value=1e-3, max_value=100.0),

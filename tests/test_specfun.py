@@ -185,6 +185,9 @@ def test_bessel_k_past_the_double_range_and_at_subnormal_x():
     # inf where K leaves the double range, never an OverflowError
     for nu, x in ((5.0, 1e-300), (20.0, 1e-20), (200.5, 3.0), (150.0, 1e-3)):
         assert bessel_k(nu, x) == math.inf, (nu, x)
+    # 0 where K is below the double range, however the huge exponent's parts round
+    for nu, x in ((1e20, 2e20), (1e20, 7e19)):
+        assert bessel_k(nu, x) == 0.0, (nu, x)
     # K_0(x) = ln(2 / x) - gamma + O(x^2 ln x): finite down to the least subnormal
     assert bessel_k(0.0, 1e-300) == pytest.approx(690.8914594138721, rel=1e-10)
     with mpmath.workdps(30):
