@@ -52,31 +52,15 @@ from .errors import DomainError
 from .relaysys import DerivedConstants, SystemConfig, derive_constants
 
 _BLOCK = 1 << 16
-_Z975 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Estimated outage probability with a 95% Wilson interval."""
+    """Estimated outage probability with its binomial standard error."""
 
     p_hat: float
     n_samples: int
     stderr: float
-    ci_low: float
-    ci_high: float
-
-
-def wilson_interval(p_hat: float, n: int):
-    """95% Wilson score interval; always contains p_hat, stable for small p."""
-    z = _Z975
-    denom = 1.0 + z * z / n
-    center = (p_hat + z * z / (2.0 * n)) / denom
-    half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
-    # containment of p_hat holds exactly in real arithmetic; enforce it
-    # against roundoff at the endpoints
-    lo = max(0.0, min(center - half, p_hat))
-    hi = min(1.0, max(center + half, p_hat))
-    return lo, hi
 
 
 def _shape_key(shapes):
@@ -230,9 +214,7 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
 def _estimate(count: int, n: int) -> McEstimate:
     p_hat = count / n
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    lo, hi = wilson_interval(p_hat, n)
-    return McEstimate(p_hat=p_hat, n_samples=n, stderr=stderr,
-                      ci_low=lo, ci_high=hi)
+    return McEstimate(p_hat=p_hat, n_samples=n, stderr=stderr)
 
 
 def simulate_outage(cfg: SystemConfig, mode: str, n: int, seed: int) -> McEstimate:

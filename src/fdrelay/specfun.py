@@ -24,7 +24,9 @@ cross-check in the test suite:
                        mu = f + n is stepped down to its fractional part f,
                        which leaves unit-step Bessel-ladder sums and, for two
                        non-integer shapes, a residual with both shapes in
-                       (0, 1) summed by a fixed Gauss-Laguerre rule.  An
+                       (0, 1) summed by a fixed Gauss-Laguerre rule, its
+                       one Bessel order read off the pair's Chebyshev table
+                       (``_k_table``), whose bound joins the error.  An
                        integer shape (the Rayleigh, Weibull and integer-m
                        Nakagami presets) leaves one finite Erlang sum.
 
@@ -426,6 +428,54 @@ _LAGUERRE_20 = _gauss_laguerre(20)
 # and x0 >= 6; certified against mpmath in the tests
 _RESIDUAL_RULE_ERR = 1e-13
 
+# the residual's K table: its terms, and its variable y = _K_TABLE_SCALE / t - 1
+# = 2u - 1 with u = 2 sqrt(6) / t, which maps the tail's t in [2 sqrt(6), inf)
+# onto y in (-1, 1]
+_K_TABLE_TERMS = 16
+_K_TABLE_SCALE = 4.0 * math.sqrt(6.0)
+
+
+def _clenshaw(coeffs, y: float) -> float:
+    """sum_j coeffs[j] T_j(y) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    y2 = y + y
+    for a in coeffs[:0:-1]:
+        b1, b2 = y2 * b1 - b2 + a, b1
+    return y * b1 - b2 + coeffs[0]
+
+
+def _k_table(c: float):
+    """Chebyshev series in y of g = sqrt(t) e^t K_c(t), c in [0, 1), and its relative bound.
+
+    g is smooth in u = 2 sqrt(6) / t on [0, 1] and tends to sqrt(pi / 2) as t
+    grows.  The series interpolates ``_bessel_k_scaled`` at the
+    _K_TABLE_TERMS Chebyshev nodes y = cos(pi (k + 1/2) / n), as SLATEC's
+    BESK0E and BESK1E take e^x K in 1/x above 2.  Its bound is twice the
+    largest relative deviation from ``_bessel_k_scaled`` at the interleaved
+    points cos(pi k / n), y = 1 (t = 2 sqrt(6)) included, where the error of
+    an interpolant peaks, plus the two trailing coefficients, which estimate
+    the truncation, plus 8 EPS for the continued fraction's own error
+    (measured below 5 EPS against mpmath).  Returns (coefficients, bound).
+    """
+    n = _K_TABLE_TERMS
+
+    def g(y):
+        t = _K_TABLE_SCALE / (y + 1.0)
+        return math.sqrt(t) * _bessel_k_scaled(c, t)
+
+    values = [g(math.cos(math.pi * (k + 0.5) / n)) for k in range(n)]
+    coeffs = [2.0 / n * math.fsum(v * math.cos(math.pi * j * (k + 0.5) / n)
+                                  for k, v in enumerate(values)) for j in range(n)]
+    coeffs[0] *= 0.5
+    deviation = 0.0
+    for k in range(n):
+        y = math.cos(math.pi * k / n)
+        ref = g(y)
+        deviation = max(deviation, abs(_clenshaw(coeffs, y) - ref) / ref)
+    trailing = (abs(coeffs[-1]) + abs(coeffs[-2])) / min(values)
+    return coeffs, 2.0 * deviation + trailing + 8.0 * EPS
+
+
 # the largest hop shape: e^t K_200(t) is e^683 at the smallest tail argument,
 # t0 = 2 sqrt(6), and order 207 leaves the double range there
 MAX_SHAPE = 200.0
@@ -467,6 +517,7 @@ class ShapePair:
         # log-series [(psi(k+1) + psi(d+k+1), 1 / c, c, (k+1) (d+k+1))], c = sigma + k + d/2
         self.weights = []
         self.gammas = {}    # two-branch gap -> (ln |Gamma(-gap)|, its sign, ln Gamma(gap))
+        self.k_table = None   # the residual's _k_table, built on its first use
         r1, r2 = _reduced(mu1), _reduced(mu2)
         self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
         # reduced first: an integer shape if any, else the smaller f
@@ -531,13 +582,15 @@ def _kernel_tail(pair: ShapePair, x0: float):
     (0, 1); in t = t0 + s it is 2^{2-2r} e^{-t0} / (Gamma(f_a) Gamma(f_b))
     Int_0^inf e^{-s} t^{2r-1} (e^t K_c(t)) ds with r = (f_a + f_b) / 2,
     which a fixed 20-point Gauss-Laguerre rule (Abramowitz & Stegun 25.4.45)
-    sums to within _RESIDUAL_RULE_ERR.
+    sums to within _RESIDUAL_RULE_ERR.  Every node takes sqrt(t) e^t K_c(t)
+    off the pair's Chebyshev table (``_k_table``), built on the pair's first
+    residual.
 
     The error is twice the roundoff of the largest exponent, whose parts
     reach ``mag``, plus the error of its ln Gamma parts (a budget of 47 + 2
     |ln Gamma| ulp each, over libm's measured worst, counted in ``mag``), 4
     EPS per unit of mu_a + mu_b for the terms and ladder steps, and the
-    rule's error on the residual.  Returns (S, abs error).
+    rule's and the table's bounds on the residual.  Returns (S, abs error).
     """
     a, b = pair.a, pair.b
     t0 = 2.0 * math.sqrt(x0)
@@ -560,15 +613,19 @@ def _kernel_tail(pair: ShapePair, x0: float):
     mag = max(mag + abs(a.ln_gamma_f) + 24.0, mag_b + lg + 48.0)
     p = a.f + b.f - 1.0
     ln_pre = (1.0 - p) * _LN2 - a.ln_gamma_f - b.ln_gamma_f - t0
+    if pair.k_table is None:
+        pair.k_table = _k_table(c)
+    coeffs, table_err = pair.k_table
+    q = p - 0.5   # t^p e^t K_c(t) = t^q g
     nodes, weights = _LAGUERRE_20
     res = 0.0
     for s, w in zip(nodes, weights):
         t = t0 + s
-        res += w * math.exp(p * math.log(t) + ln_pre) * _bessel_k_scaled(c, t)
-    mag_res = abs(p) * math.log(t0 + nodes[-1]) + abs(ln_pre) + lg + 48.0
+        res += w * math.exp(q * math.log(t) + ln_pre) * _clenshaw(coeffs, _K_TABLE_SCALE / t - 1.0)
+    mag_res = abs(q) * math.log(t0 + nodes[-1]) + abs(ln_pre) + lg + 48.0
     sums = 2.0 * (first + second)
     err = ((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * sums
-           + (_RESIDUAL_RULE_ERR + (40.0 + 2.0 * mag_res) * EPS) * res)
+           + (_RESIDUAL_RULE_ERR + table_err + (40.0 + 2.0 * mag_res) * EPS) * res)
     return sums + res, err
 
 

@@ -1,4 +1,4 @@
-"""Independent references for the product of two hop powers.
+"""Independent references for the product of two hop powers, and the Wilson interval.
 
 Neither shares code with the package's F_Z route (``_cdf_product_meijer``
 and its series and tail kernels): the density is the closed Bessel form,
@@ -7,6 +7,10 @@ factor is scipy's ``kv``, so no Bessel code is shared with the package.
 
 The product density carries the symmetric prefactor
 ``(lam1*lam2)**((mu1+mu2)/2)``, a convention the normalization tests enforce.
+
+The Monte Carlo acceptance tests read a 95% Wilson interval about each
+estimate where its normal standard error is degenerate; the package
+itself reports only the standard error.
 """
 
 from __future__ import annotations
@@ -64,3 +68,19 @@ def _cdf_product_quadrature(pp: ProductDistParams, z: float):
     settings = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
     val, err, ok = integrate_adaptive(f, 0.0, t_max, settings, breakpoints=bps)
     return min(1.0, max(0.0, norm * val)), norm * err, ok
+
+
+_Z975 = 1.959963984540054  # two-sided 95% normal quantile
+
+
+def wilson_interval(p_hat: float, n: int):
+    """95% Wilson score interval; always contains p_hat, stable for small p."""
+    z = _Z975
+    denom = 1.0 + z * z / n
+    center = (p_hat + z * z / (2.0 * n)) / denom
+    half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
+    # containment of p_hat holds exactly in real arithmetic; enforce it
+    # against roundoff at the endpoints
+    lo = max(0.0, min(center - half, p_hat))
+    hi = min(1.0, max(center + half, p_hat))
+    return lo, hi

@@ -3,8 +3,8 @@
 ``specfun.shape_pair`` keeps one state per (mu1, mu2): the series route,
 ln Gamma(mu1) + ln Gamma(mu2), the log-series log-factorials and weights
 grown as far as k has reached, ln |Gamma(-gap)| and ln Gamma(gap) of each
-two-branch gap, and the clamp.  Every F_Z value, error and flag must be the
-same whichever memo the call meets.
+two-branch gap, the residual's Bessel K table, and the clamp.  Every F_Z
+value, error and flag must be the same whichever memo the call meets.
 """
 
 import dataclasses
@@ -82,6 +82,20 @@ def test_engines_are_bit_identical_cold_warm_and_interleaved():
     specfun._PAIRS.clear()
     for name in ("near", "log", "near", "two"):                 # A, B, A
         assert _engines(*PAIRS[name]) == cold[name], name
+
+
+def test_residual_k_table_moves_no_value():
+    # mu 1.3 / 1.8 at x0 = 50 reaches the residual: the first call builds
+    # the pair's table, the second reads it
+    for fn in (specfun._kernel_tail, specfun._g2131_eval):
+        specfun._PAIRS.clear()
+        pair = shape_pair(1.3, 1.8)
+        assert pair.k_table is None
+        fresh = fn(pair, 50.0)
+        assert pair.k_table is not None
+        assert fn(pair, 50.0) == fresh, fn.__name__
+        specfun._PAIRS.clear()
+        assert fn(shape_pair(1.3, 1.8), 50.0) == fresh, fn.__name__
 
 
 def test_memo_stays_at_its_bound():

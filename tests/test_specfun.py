@@ -384,19 +384,42 @@ def test_preset_shape_tail_makes_one_bessel_call(monkeypatch):
 
 
 def test_kernel_tail_bessel_work(monkeypatch):
-    # a non-integer pair takes one ladder and the 20 residual nodes, where
-    # the 20-point rule with its 16-point companion took 36 continued
-    # fractions; an integer pair one ladder; neither integrates adaptively
+    # a cold non-integer pair takes one ladder and builds its K table off
+    # the 16 Chebyshev nodes and the 16 interleaved points that bound it; a
+    # warm one takes the ladder alone, its 20 residual nodes off the table;
+    # an integer pair one ladder and no table; neither integrates adaptively
+    monkeypatch.setattr(specfun, "_PAIRS", {})
     adaptive = _forbid_adaptive_tail(monkeypatch)
     calls = _count_bessel_calls(monkeypatch)
-    value, err = _kernel_tail(shape_pair(1.125, 2.125), 50.0)
+    pair = shape_pair(1.125, 2.125)
+    value, err = _kernel_tail(pair, 50.0)
     assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
-    assert len(calls) <= 24
+    assert len(calls) == 1 + 2 * specfun._K_TABLE_TERMS
+    assert pair.k_table is not None
     before = len(calls)
-    value, err = _kernel_tail(shape_pair(2.0, 2.0), 50.0)
+    value, err = _kernel_tail(pair, 80.0)
+    assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
+    assert len(calls) == before + 1
+    before = len(calls)
+    pair = shape_pair(2.0, 2.0)
+    value, err = _kernel_tail(pair, 50.0)
     assert math.isfinite(err) and 0.0 < value
     assert len(calls) == before + 1
+    assert pair.k_table is None
     assert not adaptive
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.37, 0.5, 0.6, 0.93, 1.0 - 1e-9])
+def test_k_table_matches_mpmath_within_its_bound(c):
+    # sqrt(t) e^t K_c(t) off the table, t from 2 sqrt(6) to 1e4, against
+    # mpmath at 30 digits; the bound must be informative, not vacuous
+    coeffs, bound = specfun._k_table(c)
+    assert bound <= 1e-14
+    for t in np.geomspace(2.0 * math.sqrt(6.0), 1e4, 120):
+        t = float(t)
+        value = specfun._clenshaw(coeffs, specfun._K_TABLE_SCALE / t - 1.0)
+        ref = mpmath.sqrt(t) * mpmath.exp(t) * mpmath.besselk(c, t)
+        assert abs(value - ref) <= bound * ref, (c, t)
 
 
 def k_values(orders, t):
