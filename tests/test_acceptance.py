@@ -162,8 +162,9 @@ def test_criterion_5_mode_ordering():
     for name, ps, rate, cfg in _grid_configs():
         df = outage_df(cfg)
         af = outage_af(cfg)
-        slack = 1e-9 + df.numeric_error + af.numeric_error
-        assert df.value <= af.value + slack, (
+        # every preset has sigma_R^2 = sigma_D^2, where AF is DF plus a
+        # non-negative gap integral: the order holds on the values alone
+        assert df.value <= af.value, (
             f"{name} P={ps} R={rate}: df {df.value} > af {af.value}")
     _report(5, "DF <= AF ordering", t0)
 

@@ -631,6 +631,12 @@ def test_mixed_alpha_scenario(tmp_path):
     rows = rows_from_csv(proc.stdout)
     assert [r.mode for r in rows] == ["af", "df"]
     assert all(0.0 <= r.outage <= 1.0 and r.n_samples == 10_000 for r in rows)
+    # the high-SNR floor needs the loop-back leg alone, whatever the hops
+    proc = subprocess.run(base + ["--method", "high-snr"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = rows_from_csv(proc.stdout)
+    assert [r.mode for r in rows] == ["af", "df"]
+    assert all(0.0 <= r.outage <= 1.0 for r in rows)
 
 
 def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
@@ -841,7 +847,10 @@ def _engine_scenarios(draw):
 @given(doc=_engine_scenarios(), with_mc=st.booleans())
 def test_engines_end_in_rows_or_one_error(tmp_path_factory, doc, with_mc):
     # every scenario ends in rows with outage in [0, 1] and a finite analytic
-    # err, or in exit 2 or 3 with one error line; never in a traceback
+    # err, or in exit 2 or 3 with one error line; never in a traceback.
+    # Where sigma_R^2 >= sigma_D^2, analytic DF is at most AF on the values
+    cfg = doc["config"]
+    one_signed = cfg["noise_antenna_var"] + cfg["noise_conversion_var"] >= cfg["noise_dest_var"]
     path = tmp_path_factory.getbasetemp() / "engine.json"
     path.write_text(json.dumps(doc))
     runs = [("analytic",)] + [("mc", "--samples", "10000")] * with_mc
@@ -855,9 +864,15 @@ def test_engines_end_in_rows_or_one_error(tmp_path_factory, doc, with_mc):
         assert len(errors) == (code != 0), stderr.getvalue()
         if code == 2:
             continue
-        for row in rows_from_csv(stdout.getvalue()):
+        rows = rows_from_csv(stdout.getvalue())
+        for row in rows:
             assert 0.0 <= row.outage <= 1.0, row
             assert method == "mc" or row.err != math.inf, row
+        if method == "analytic" and one_signed:
+            af = {r.sweep_value: r.outage for r in rows if r.mode == "af"}
+            for r in rows:
+                if r.mode == "df" and r.sweep_value in af:
+                    assert r.outage <= af[r.sweep_value], (r, af[r.sweep_value])
 
 
 _README = Path(__file__).resolve().parents[1] / "README.md"
