@@ -102,9 +102,15 @@ def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
         t = np.divide(1.0, np.multiply(v, c.kappa, out=out), out=out)
         return np.minimum(t, c.dest_coef * z, out=out)
     if mode == "af":
-        t = np.multiply(np.multiply(v, c.beta2, out=out), z, out=out)
-        t = np.add(np.add(t, c.beta3 * v, out=out), c.beta4, out=out)
-        return np.divide(c.beta1 * z, t, out=out)
+        # near the double range b1 Z and b2 V Z overflow, and beta2 = kappa
+        # P_S itself may: from b1 or kappa b1 = 2^512 on, all four are scaled
+        # by one power of two, exact in the normal range, b2 as kappa b1
+        shift = max(0, math.frexp(c.beta1)[1] + max(0, math.frexp(c.kappa)[1]) - 512)
+        b1 = math.ldexp(c.beta1, -shift)
+        b2, b3, b4 = c.kappa * b1, math.ldexp(c.beta3, -shift), math.ldexp(c.beta4, -shift)
+        t = np.multiply(np.multiply(v, b2, out=out), z, out=out)
+        t = np.add(np.add(t, b3 * v, out=out), b4, out=out)
+        return np.divide(b1 * z, t, out=out)
     raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")
 
 

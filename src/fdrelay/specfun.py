@@ -13,12 +13,12 @@ cross-check in the test suite:
 * ``_g2131_eval``      the one Meijer G instance needed here: the kernel that
                        closes the CDF F_Z of a product of two gamma-power
                        variates, returned as F_Z itself.  Evaluated by its
-                       ascending residue series (two hypergeometric-type
-                       branches), by the confluent logarithmic series when
-                       the branch exponents collide, by interpolation in the
-                       gap across both series when they nearly collide
-                       (each series with its prefactors, x^sigma and
-                       1 / (Gamma(mu1) Gamma(mu2)) in one log scale), and
+                       ascending residue series, the confluent logarithmic
+                       series at an integer gap and otherwise the two
+                       branches paired term by term, free of cancellation
+                       however near an integer the gap (each series with its
+                       prefactors, x^sigma and 1 / (Gamma(mu1) Gamma(mu2))
+                       in one log scale), and
                        for large argument as 1 - S, with S = P(X1 X2 > x)
                        by shape reduction (``_kernel_tail``): each shape
                        mu = f + n is stepped down to its fractional part f,
@@ -33,8 +33,9 @@ cross-check in the test suite:
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
 1e-8 relative on its restricted parameter pattern for argument in
-[1e-10, 1e4] and returns its own error estimate, inf where it reached no
-value.  The kernel takes hop shapes up to MAX_SHAPE.  ``shape_pair``
+[1e-10, 1e4], its paired series 1e-10 relative from the least normal double
+to argument 6 for shapes from 0.5, and it returns its own error estimate, inf
+where it reached no value.  The kernel takes hop shapes up to MAX_SHAPE.  ``shape_pair``
 memoises each pair's state, at most _PAIRS_MAX pairs; no value depends on
 the memo.
 
@@ -258,9 +259,11 @@ def bessel_k(nu: float, x: float) -> float:
 # with S the shape-reduced survival of ``_kernel_tail``.
 
 _X_SERIES_MAX = 12.0   # beyond this the ascending series cancel too hard
-_NEAR_INTEGER = 1e-4   # branch-collision guard for the two-series form
-_INTERP_STEP = 1e-2    # node spacing in the gap for the near-integer band
-_X_NEAR_MIN = 1e-30    # the interpolation's error estimate is certified down to here
+
+# zeta(2k + 1), k = 1 .. 7, for _ln_gamma_ratio's series
+_ZETA_ODD = (1.2020569031595942854, 1.0369277551433699263, 1.0083492773819228268,
+             1.0020083928260822144, 1.0004941886041194646, 1.0001227133475784891,
+             1.0000305882363070205)
 
 
 def _noise_integer(v: float, scale: float):
@@ -294,53 +297,108 @@ def _scaled(s: ShapePair, ln_top: float, lnx: float, total: float, err: float):
     return value, (scale * err + lost * abs(value)) * EPS + (1.0 + abs(total)) * 5e-324
 
 
-def _g_series_noninteger(s: ShapePair, delta: float, x: float):
-    """F_Z by the two-branch ascending series of G at gap delta, away from the integers.
+def _pole_sum(poles, lnx: float, top: float):
+    """sum sign exp(c + e ln x - top) / div over the (sign, c, e, div) poles, and its top term."""
+    total = mag = 0.0
+    for sign, c, e, div in poles:
+        t = sign * math.exp(c + e * lnx - top)
+        t /= div
+        total += t
+        mag = t if t > mag else -t if -t > mag else mag
+    return total, mag
 
-    G = Gamma(-delta) x^{delta/2} S_+ + Gamma(delta) x^{-delta/2} S_-, its
-    prefactors taken as logs (ln |Gamma(-delta)| by reflection) relative to
-    the larger.  Returns (value, abs error estimate).
+
+# _ln_gamma_ratio's relative error bound, in EPS units
+_LN_GAMMA_RATIO_ERR = 64.0
+
+
+def _ln_gamma_ratio(e: float) -> float:
+    """ln Gamma(1 + e) - ln Gamma(1 - e), |e| <= 1/2, within _LN_GAMMA_RATIO_ERR EPS of its size.
+
+    Below |e| = 0.1, where 1 +- e rounds, the odd part of DLMF 5.7.3: -2 (gamma e
+    + sum_k zeta(2k+1) e^{2k+1} / (2k+1)), k <= 7, the next term below 1e-17 of it.
     """
-    sigma = s.sigma
-    if delta not in s.gammas:
-        # Gamma(-delta) Gamma(1 + delta) = pi / sin(-pi delta)
-        sin = _sin_pi(-delta)
-        s.gammas[delta] = (math.log(math.pi / abs(sin)) - math.lgamma(1.0 + delta),
-                           math.copysign(1.0, sin), math.lgamma(delta))
-    ln_minus, sign, ln_plus = s.gammas[delta]
-    k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
-    s1, m1, u1 = _branch_sum(x, sigma + delta / 2.0, delta, k_decay)
-    s2, m2, u2 = _branch_sum(x, sigma + -delta / 2.0, -delta, k_decay)
+    if abs(e) >= 0.1:   # each ln Gamma a few EPS off near its zero at 1
+        return math.lgamma(1.0 + e) - math.lgamma(1.0 - e)
+    e2 = e * e
+    total = 0.0
+    for k in range(7, 0, -1):   # Horner in e^2
+        total = total * e2 + _ZETA_ODD[k - 1] / (2 * k + 1)
+    return -2.0 * e * (EULER_GAMMA + e2 * total)
+
+
+def _g_series_noninteger(s: ShapePair, x: float):
+    """F_Z by the ascending series of G at a non-integer gap delta = d + e, |e| <= 1/2.
+
+    G = Gamma(delta) x^{-delta/2} S_- + Gamma(-delta) x^{delta/2} S_+, S_+- = sum_k
+    x^k / (k! (1 +- delta)_k (sigma +- delta/2 + k)), whose branches cancel
+    about 1/|e|-fold.  As Temme's K_nu pairs I_-nu with I_nu, S_- keeps its d
+    poles k < d, of Gamma(delta) / (1 - delta)_k = (-1)^k Gamma(delta - k),
+    and its term d + j is folded into S_+'s term t_j: the two sum to -t_j
+    expm1(D_j) times S_+'s prefactor, where D_j = -e ln x + K_j and K_j =
+    [ln Gamma(1+e) - ln Gamma(1-e)] + sum_{i<=j+d} log1p(e/i) - sum_{i<=j}
+    log1p(-e/i) + 2 atanh(e / (2 (sigma + d/2 + j))), built once per pair.
+    Gamma(-delta) expm1(D_j) stays exact as e -> 0.  The prefactors are logs
+    (ln |Gamma(-delta)| by reflection) relative to the larger.  The error
+    counts the sum's roundoff, each prefactor's (ln Gamma at 47 + 2 |ln
+    Gamma| ulp, the rounding of 1 + delta, the exponent's parts) on its own
+    terms, and D_j's, |t_j| e^{D_j} times its parts.  Returns (value, abs error).
+    """
+    sigma, delta, d = s.sigma, s.delta, s.d
+    e = delta - d
+    if s.head is None:
+        sin = _sin_pi(-delta)   # Gamma(-delta) Gamma(1 + delta) = pi / sin(-pi delta)
+        ln_sin = math.log(math.pi / abs(sin))
+        lg1, lg = math.lgamma(1.0 + delta), math.lgamma(delta)
+        poles = [(-1.0 if k % 2 else 1.0, math.lgamma(delta - k) - math.lgamma(k + 1.0),
+                  k - delta / 2.0, sigma - delta / 2.0 + k) for k in range(d)]
+        s.head = (ln_sin - lg1, math.copysign(1.0, sin), lg, _ln_gamma_ratio(e), poles,
+                  51.0 + 2.0 * (abs(ln_sin) + abs(lg1)) + (1.0 + delta) * math.log(2.0 + delta),
+                  # two ln Gamma per pole, by log-convexity each below |lg| + 1/4
+                  95.0 + 2.0 * abs(lg))
+    ln_minus, sign, ln_plus, a, poles, u_pairs, u_poles = s.head
     lnx = math.log(x)
     half = 0.5 * delta * lnx
     l1, l2 = ln_minus + half, ln_plus - half
     top = max(l1, l2)
-    t1, t2 = sign * math.exp(l1 - top), math.exp(l2 - top)
-    value = t1 * s1 + t2 * s2
-    # roundoff accumulates over the term count and across the branch
-    # cancellation, so the estimate scales with both; its constant also
-    # covers each prefactor's own rounding, as it covered Gamma(+-delta) and
-    # x^{+-delta/2} formed as floats
-    mag = abs(t1) * m1 + abs(t2) * m2
-    return _scaled(s, top, lnx, value, (32.0 + 2.0 * max(u1, u2)) * (mag + abs(value)))
-
-
-def _branch_sum(x: float, sb: float, shift: float, k_decay: float):
-    """sum_k x^k / (k! (1 + shift)_k) / (sb + k), its largest |term| and its last k."""
+    pre_pairs = -sign * math.exp(l1 - top)
+    poles, mag_poles = _pole_sum(poles, lnx, top)
+    elx = e * lnx
+    lx_err = 2.0 * abs(elx)
+    pairs = mag_pairs = d_err = 0.0
+    k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
+    weights = s.weights
     term = 1.0
-    total = w = term / sb
-    mag = abs(w)
-    for k in range(1, 600):
-        term *= x / (k * (k + shift))
-        w = term / (sb + k)
-        total += w
-        mag = w if w > mag else -w if -w > mag else mag
-        if k > k_decay and abs(w) < abs(total) * EPS:
+    for j in range(600):
+        if j == len(weights):
+            # K_j and its roundoff: one ulp per log1p and partial sum of the
+            # one-signed q, A's budget, and the atanh's and K_j's own
+            q = (weights[-1][4] + math.log1p(e / (j + d)) - math.log1p(-e / j) if j
+                 else math.fsum(math.log1p(e / i) for i in range(1, d + 1)))
+            at = 2.0 * math.atanh(e / (2.0 * (sigma + 0.5 * d + j)))
+            kj = a + q + at
+            weights.append((sigma + delta / 2.0 + j, float((j + 1) * (j + 1 + delta)), kj,
+                            (d + 2 * j + 1) * abs(q) + (_LN_GAMMA_RATIO_ERR + 2.0) * abs(a)
+                            + 4.0 * abs(at) + abs(kj), q))
+        cp, kd_next, kj, k_err, _ = weights[j]
+        t = term / cp
+        em = math.expm1(kj - elx)
+        w = t * em
+        pairs += w
+        mag_pairs = w if w > mag_pairs else -w if -w > mag_pairs else mag_pairs
+        d_err += t * (em + 1.0) * (k_err + lx_err)   # t > 0
+        if j > k_decay and abs(w * pre_pairs) < abs(poles + pre_pairs * pairs) * EPS:
             break
-    return total, mag, k
+        term *= x / kd_next   # the step to term j + 1
+    value = poles + pre_pairs * pairs
+    mag_pairs *= abs(pre_pairs)
+    err = ((32.0 + 2.0 * max(j, d)) * (max(mag_poles, mag_pairs) + abs(value))
+           + (u_pairs + 2.0 * abs(half) + abs(l1 - top)) * mag_pairs
+           + (u_poles + 2.0 * abs(half) + abs(l2 - top)) * mag_poles + abs(pre_pairs) * d_err)
+    return _scaled(s, top, lnx, value, err)
 
 
-def _g_series_integer(s: ShapePair, d: int, x: float):
+def _g_series_integer(s: ShapePair, x: float):
     """F_Z by the confluent (logarithmic) series of G for integer gap d >= 0.
 
     The collided poles contribute digamma and ln x terms; the d leading
@@ -348,24 +406,19 @@ def _g_series_integer(s: ShapePair, d: int, x: float):
     (d-1-j)! x^{j-d/2} / j! enter as logs, with exact log-factorials, taken
     relative to the larger of the main term's and pole 0's.  Returns (value, err).
     """
-    if s.log is None:
+    d = s.d
+    if s.head is None:
         ln_fact = [math.log(math.factorial(n)) for n in range(d + 1)]
-        s.log = (ln_fact[d],
-                 [(-1.0 if j % 2 else 1.0, ln_fact[d - 1 - j] - ln_fact[j],
-                   j - d / 2.0, s.sigma + j - d / 2.0) for j in range(d)])
-    ln_fact_d, poles = s.log
+        s.head = (ln_fact[d],
+                  [(-1.0 if j % 2 else 1.0, ln_fact[d - 1 - j] - ln_fact[j],
+                    j - d / 2.0, s.sigma + j - d / 2.0) for j in range(d)])
+    ln_fact_d, poles = s.head
     lnx = math.log(x)
     ln_main = 0.5 * d * lnx - ln_fact_d
     # the scale is the main term's or pole 0's: no pole exceeds pole 0 by more
     # than sum_j x^j / j!^2 < e^{2 sqrt x}, so no term leaves the double range
     top = max(ln_main, poles[0][1] + poles[0][2] * lnx) if poles else ln_main
-    total = 0.0
-    mag = 0.0
-    for sign, c, e, div in poles:
-        t = sign * math.exp(c + e * lnx - top)
-        t /= div
-        total += t
-        mag = t if t > mag else -t if -t > mag else mag
+    total, mag = _pole_sum(poles, lnx, top)
     term = (-1.0 if d % 2 else 1.0) * math.exp(ln_main - top)
     k_decay = 2.0 * math.sqrt(x) + 4.0
     weights = s.weights
@@ -500,23 +553,24 @@ class ShapePair:
 
     # delta = |mu1 - mu2| is the Bessel order of the kernel and sigma =
     # (mu1 + mu2) / 2.  The series route is chosen once, as ``_g_series``
-    # documents; ``d`` is the integer gap of the log-series, which also
-    # anchors the interpolation across a near-integer gap.  The log-series
-    # terms that do not depend on x are built on first use, its per-k
-    # weights only as far as k reaches.
+    # documents; ``d`` is the integer gap of the log-series, and the nearest
+    # integer to the gap for the paired series.  The route's terms that do
+    # not depend on x are built on first use, its per-k weights only as far
+    # as k reaches.
     def __init__(self, mu1: float, mu2: float):
         self.delta = delta = abs(mu1 - mu2)
         self.sigma = sigma = 0.5 * (mu1 + mu2)
         d = _noise_integer(delta, sigma + delta)
         self.d = round(delta) if d is None else d
-        self.route = ("log" if d is not None else
-                      "near" if abs(delta - self.d) < _NEAR_INTEGER else "two")
-        # log-series (ln d!, [(sign, ln ((d-1-j)! / j!), exponent, divisor)] of
-        # the d simple poles)
-        self.log = None
-        # log-series [(psi(k+1) + psi(d+k+1), 1 / c, c, (k+1) (d+k+1))], c = sigma + k + d/2
+        self.route = "log" if d is not None else "two"
+        # log-series: (ln d!, [(sign, ln ((d-1-j)! / j!), exponent, divisor)] of
+        # the d simple poles); paired series: (ln |Gamma(-delta)|, its sign,
+        # ln Gamma(delta), ln Gamma(1+e) - ln Gamma(1-e), its d poles alike,
+        # and the two prefactors' error budgets in EPS units)
+        self.head = None
+        # log-series [(psi(k+1) + psi(d+k+1), 1 / c, c, (k+1) (d+k+1))], c = sigma + k + d/2;
+        # paired series [(sigma + delta/2 + j, (j+1) (j+1+delta), K_j, its roundoff, q_j)]
         self.weights = []
-        self.gammas = {}    # two-branch gap -> (ln |Gamma(-gap)|, its sign, ln Gamma(gap))
         self.k_table = None   # the residual's _k_table, built on its first use
         r1, r2 = _reduced(mu1), _reduced(mu2)
         self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
@@ -642,17 +696,12 @@ def _g_complement(pair: ShapePair, x: float):
 
 
 def _g_kernel_quadrature(delta: float, sigma: float, x: float):
-    """Direct kernel integral, (value, abs error, converged).
+    """Direct kernel integral G(x), (value, abs error, converged): the tests' reference.
 
-    The independent kernel-integral reference for the near-integer band,
-    which ``_g2131_eval`` serves by ``_g_near_integer``.  In v = x e^{-s}
-    the kernel identity reads
-
-        G(x) = 2 Int_0^inf e^{-sigma s} K_delta(2 sqrt(x) e^{-s/2}) ds,
-
-    free of the log singularity of K_0 at v = 0 and of x^{-sigma}.  The
-    integrand decays as e^{-(sigma - delta/2) s}, so it is cut where that
-    factor is e^{-50}.
+    No route calls it; the tests hold the paired series at near-integer gaps
+    to it.  In v = x e^{-s} the kernel identity reads G(x) = 2 Int_0^inf
+    e^{-sigma s} K_delta(2 sqrt(x) e^{-s/2}) ds, free of the log singularity
+    of K_0 at v = 0 and of x^{-sigma}, cut where e^{-(sigma - delta/2) s} is e^{-50}.
     """
     r = 2.0 * math.sqrt(x)
 
@@ -667,69 +716,17 @@ def _g_kernel_quadrature(delta: float, sigma: float, x: float):
     return value, 2.0 * err + 8.0 * EPS * abs(value), ok
 
 
-def _lagrange(nodes, values, t: float):
-    """(interpolant, Lebesgue constant) at t of the polynomial through the nodes."""
-    total = 0.0
-    lebesgue = 0.0
-    for i, ti in enumerate(nodes):
-        w = 1.0
-        for j, tj in enumerate(nodes):
-            if j != i:
-                w *= (t - tj) / (ti - tj)
-        total += w * values[i]
-        lebesgue += abs(w)
-    return total, lebesgue
-
-
-def _g_near_integer(s: ShapePair, delta: float, x: float):
-    """F_Z for a gap 0 < |delta - d| < _NEAR_INTEGER off the integer d, x <= 12.
-
-    G is analytic and even in delta, so F_Z at fixed sigma and normalisation
-    is interpolated in delta from the log-series at d and the two-branch
-    series at d + k h, k = +-1 .. +-3, where the branch cancellation costs
-    only about 1/h in relative accuracy.  For d = 0 the interpolation runs
-    in delta^2 on the nodes 0, h, ..., 6h.  The error is the distance
-    between the 7-node and the inner 5-node interpolant plus the largest
-    node error times the Lebesgue constant at delta.  The interpolation
-    error grows with |ln x| through x^{+-delta/2}: about 1e-10 relative at
-    x = 1e-10 and 2e-8 at x = 1e-25 for gaps up to 6 and shapes from 0.5.
-    Below _X_NEAR_MIN, where the estimate no longer bounds that error, F_Z
-    is 0 to within F_Z(_X_NEAR_MIN), as F_Z increases with x.
-    """
-    if x < _X_NEAR_MIN:
-        value, err = _g_near_integer(s, delta, _X_NEAR_MIN)
-        return 0.0, value + err
-    d = s.d
-    h = _INTERP_STEP
-    ks = range(7) if d == 0 else range(-3, 4)
-    evals = [_g_series_integer(s, d, x) if k == 0
-             else _g_series_noninteger(s, d + k * h, x) for k in ks]
-    values = [e[0] for e in evals]
-    if d == 0:
-        nodes, t, inner = [(k * h) ** 2 for k in ks], delta * delta, slice(0, 5)
-    else:
-        nodes, t, inner = [d + k * h for k in ks], delta, slice(1, 6)
-    p7, lebesgue = _lagrange(nodes, values, t)
-    p5, _ = _lagrange(nodes[inner], values[inner], t)
-    err = abs(p7 - p5) + lebesgue * max(e[1] for e in evals)
-    return p7, err
-
-
 def _g_series(s: ShapePair, x: float):
     """F_Z by the ascending series of G, x <= _X_SERIES_MAX.
 
     Every route returns (value, abs error) with x^sigma / (Gamma(mu1)
     Gamma(mu2)) inside its log scale.  A gap within a few ulps of an integer
-    (2.2 - 1.2) takes the log-series, and a gap from there to _NEAR_INTEGER
-    off an integer is interpolated across the gap.  A term past the double
-    range would leave no value: (inf, inf).
+    (2.2 - 1.2) takes the log-series, and every other gap the paired series,
+    however near an integer.  A term past the double range would leave no
+    value: (inf, inf).
     """
     try:
-        if s.route == "log":
-            return _g_series_integer(s, s.d, x)
-        if s.route == "near":
-            return _g_near_integer(s, s.delta, x)
-        return _g_series_noninteger(s, s.delta, x)
+        return (_g_series_integer if s.route == "log" else _g_series_noninteger)(s, x)
     except OverflowError:
         return math.inf, math.inf
 

@@ -640,17 +640,17 @@ def test_mixed_alpha_scenario(tmp_path):
 
 
 def test_unconverged_kernel_exits_3_with_rows(tmp_path, monkeypatch, capsys):
-    # shapes 1.5 and 2.50005 put F_Z in the near-integer band; make its
-    # interpolation route reach no value (err inf) but keep its best value
-    real = specfun._g_near_integer
+    # shapes 1.5 and 2.50005 put F_Z on the paired series at a near-integer
+    # gap; make it reach no value (err inf) but keep its best value
+    real = specfun._g_series_noninteger
     calls = []
 
-    def failing(s, delta, x):
-        value, _ = real(s, delta, x)
+    def failing(s, x):
+        value, _ = real(s, x)
         calls.append(x)
         return value, math.inf
 
-    monkeypatch.setattr(specfun, "_g_near_integer", failing)
+    monkeypatch.setattr(specfun, "_g_series_noninteger", failing)
     cfg = dict(GOOD_CONFIG, hop1_fading={"alpha": 2.0, "mu": 1.5, "r_hat": 1.0},
                hop2_fading={"alpha": 2.0, "mu": 2.50005, "r_hat": 1.0})
     path = tmp_path / "near.json"

@@ -1,9 +1,9 @@
 """Exact bits of both engines, one cell per route of F_Z.
 
 Each cell's hop shapes and rate put DF's F_Z argument on one route of the
-kernel: the log-series, the two-branch series, the near-integer
-interpolation, the complement 1 - S for an integer and for two non-integer
-shapes (the Gauss-Laguerre residual), and the clamped end.  AF on the same
+kernel: the log-series, the paired series at a plain and at a near-integer
+gap, the complement 1 - S for an integer and for two non-integer shapes
+(the Gauss-Laguerre residual), and the clamped end.  AF on the same
 cell adds to DF the gap integral of F_Z from its DF argument up.  The pinned
 ``float.hex`` of (value, numeric_error) holds the arithmetic of the hot
 path fixed: a rewrite that changes the order of one operation fails here.
@@ -34,10 +34,10 @@ CELLS = {
 PINNED = {
     "log-series": (('0x1.ecb6cded4a28ap-2', '0x1.617545d5d3921p-46'),
                   ('0x1.5e29366f37586p-1', '0x1.72d49bb3a0b45p-33')),
-    "two-branch": (('0x1.f01cc08e36bd6p-2', '0x1.c5f65a729161bp-45'),
-                  ('0x1.604b1f0aba866p-1', '0x1.14b06882492efp-33')),
-    "near-integer": (('0x1.9048241a84132p-2', '0x1.6879fafa7bdcap-38'),
-                    ('0x1.48feaf24fc45ep-1', '0x1.e4d3c1230c9f7p-37')),
+    "two-branch": (('0x1.f01cc08e36ba2p-2', '0x1.1300dfdf39893p-44'),
+                  ('0x1.604b1f0aba522p-1', '0x1.14b6618206fc5p-33')),
+    "near-integer": (('0x1.9048241a84122p-2', '0x1.6a045607b8522p-43'),
+                    ('0x1.48feaf24fc32ap-1', '0x1.3641dadc9f1b1p-37')),
     "integer-complement": (('0x1.fffce9e058849p-1', '0x1.05266419e305cp-49'),
                           ('0x1.ffffe4ee9b50ap-1', '0x1.0725b0a1b36e1p-49')),
     "residual-complement": (('0x1.fff219cd22fa6p-1', '0x1.00df5ed218d84p-49'),
@@ -63,7 +63,9 @@ def _df_route(cfg):
         return "clamped"
     if x > specfun._X_SERIES_MAX:
         return "residual-complement" if pp.shapes.a.f else "integer-complement"
-    return {"log": "log-series", "two": "two-branch", "near": "near-integer"}[pp.shapes.route]
+    if pp.shapes.route == "log":
+        return "log-series"
+    return "near-integer" if abs(pp.shapes.delta - pp.shapes.d) < 1e-4 else "two-branch"
 
 
 @pytest.mark.parametrize("name", sorted(CELLS))

@@ -182,8 +182,9 @@ def _cdf_product_mpmath(mu1, mu2, lam12, z, half_alpha):
 
 
 # (alpha, mu1, mu2, r_hat, z), with kernel argument x = lam12 z^{alpha/2}
-# and lam12 = mu1 mu2 at r_hat 1: the log-series, the two-branch series and
-# the near-integer band below x = 1e-30, down to the least normal double; below
+# and lam12 = mu1 mu2 at r_hat 1: the log-series and the paired series at
+# plain and near-integer gaps below x = 1e-30 (where an interpolation in the
+# gap read 0), down to the least normal double; below
 # it, x formed in the subnormals, z^{alpha/2} subnormal under a large lam12
 # (r_hat 1e-3 or 1e-2), and x underflowing to 0
 SMALL_ARGUMENT_CELLS = (
@@ -191,7 +192,8 @@ SMALL_ARGUMENT_CELLS = (
     (2.0, 0.5, 0.5, 1.0, 4e-300), (2.0, 1.0, 3.0, 1.0, 1e-60 / 3.0),
     (2.0, 1.3, 1.8, 1.0, 1e-200 / 2.34), (2.0, 0.5, 30.0, 1.0, 1e-150 / 15.0),
     (2.0, 2.2, 1.2, 1.0, 1e-80 / 2.64), (2.0, 0.5, 0.50005, 1.0, 1e-40 / 0.250025),
-    (2.0, 2.0, 3.00005, 1.0, 1e-31 / 6.0001), (3.0, 0.5, 0.5, 1.0, 1.13e-204),
+    (2.0, 2.0, 3.00005, 1.0, 1e-31 / 6.0001), (2.0, 0.5, 6.50009, 1.0, 1e-200 / 3.250045),
+    (2.0, 0.5, 0.50005, 1.0, 1e-300 / 0.250025), (3.0, 0.5, 0.5, 1.0, 1.13e-204),
     (2.0, 1.0, 1.0, 1.0, 1e-320), (2.0, 0.5, 0.5, 1.0, 1.2345678e-320),
     (3.0, 0.5, 0.5, 1.0, 1e-214), (2.0, 0.5, 6.50009, 1.0, 5e-324),
     (3.0, 0.5, 0.5, 1e-3, 1.23456789e-213), (5.0, 0.5, 0.5, 1e-2, 1e-127),
@@ -210,7 +212,7 @@ def test_cdf_product_below_kernel_argument_1e_30(alpha, mu1, mu2, r_hat, z):
     ref = _cdf_product_mpmath(mu1, mu2, pp.lam12, z, half_alpha)
     assert abs(value - ref) <= err, (value, float(ref), err)
     normal = min(z ** half_alpha, pp.lam12 * z ** half_alpha) >= sys.float_info.min
-    if pp.shapes.route != "near" and normal:
+    if normal:
         assert abs(value - ref) <= 1e-12 * ref
 
 
@@ -231,8 +233,7 @@ def test_quadrature_route_never_calls_the_series(disable):
     pps = [_pp(alpha, mu1, mu2) for mu1, mu2 in ((0.5, 0.5), (1.0, 2.0), (3.5, 1.5))
            for alpha in (1.0, 2.0)]
     disable(specfun, ["_g2131_eval", "_g_series", "_g_series_integer",
-                      "_g_series_noninteger", "_g_near_integer", "_g_complement",
-                      "_kernel_tail"])
+                      "_g_series_noninteger", "_g_complement", "_kernel_tail"])
     with pytest.raises(AssertionError, match="specfun"):
         _cdf_product_meijer(pps[0], 1.0)
     for pp in pps:

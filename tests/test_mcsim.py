@@ -3,6 +3,7 @@ import inspect
 import math
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fdrelay.mcsim import (
 )
 from fdrelay.outage import outage_af, outage_df, outage_high_snr
 from fdrelay.presets import preset_config
+from fdrelay.relaysys import derive_constants
 from reference import wilson_interval
 
 
@@ -256,6 +258,22 @@ def test_high_snr_agreement_quick():
     for mode in ("df", "af"):
         est = simulate_outage(cfg, mode, 200_000, seed=17)
         assert abs(est.p_hat - floor) <= 3.0 * est.stderr + 1e-3
+
+
+@pytest.mark.parametrize("power, eta, rate", [(1e308, None, 2.0), (1.7e308, 0.7, 0.3)])
+def test_af_chain_keeps_its_limit_near_the_double_range(power, eta, rate):
+    # at 1e308 W, b1 Z and b2 V Z overflowed: inf / inf gave nan and inf /
+    # finite gave inf, both counted as no outage, and AF read 0.839 at 131
+    # standard errors from 0.992, with a RuntimeWarning.  At eta 0.7, kappa
+    # is above 1 and beta2 = kappa P_S itself is inf: AF read 0.683 against 0.788
+    cfg = preset_config("nakagami", source_power=power, target_rate=rate)
+    if eta is not None:
+        cfg = dataclasses.replace(cfg, eh_time_fraction=eta)
+        assert derive_constants(cfg).beta2 == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = simulate_outage(cfg, "af", 100_000, 42)
+    assert abs(est.p_hat - outage_af(cfg).value) <= 4.0 * est.stderr
 
 
 def test_three_sigma_coverage_over_seeds():

@@ -112,8 +112,8 @@ def test_outage_af_convergence_flag_propagates(monkeypatch):
 
 
 def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
-    # shapes 1.5 and 2.50005 put F_Z in the near-integer band; when its
-    # interpolation route reaches no value (err inf) but keeps its best
+    # shapes 1.5 and 2.50005 put F_Z on the paired series at a near-integer
+    # gap; when it reaches no value (err inf) but keeps its best
     # kernel value, the engines return the same outage, with err inf,
     # flagged unconverged.  The route fails below argument 6 only: from 6
     # on the kernel takes the complement 1 - S over a series without a
@@ -122,13 +122,13 @@ def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
     cfg = dataclasses.replace(preset_config("rayleigh", target_rate=1.0), hop1_fading=hop,
                               hop2_fading=dataclasses.replace(hop, mu=2.50005))
     good = outage_df(cfg), outage_af(cfg)
-    real = specfun._g_near_integer
+    real = specfun._g_series_noninteger
 
-    def failing(s, delta, x):
-        value, err = real(s, delta, x)
+    def failing(s, x):
+        value, err = real(s, x)
         return value, math.inf if x < 6.0 else err
 
-    monkeypatch.setattr(specfun, "_g_near_integer", failing)
+    monkeypatch.setattr(specfun, "_g_series_noninteger", failing)
     for ref, res in zip(good, (outage_df(cfg), outage_af(cfg))):
         assert ref.converged and not res.converged
         assert res.value == ref.value

@@ -1,9 +1,10 @@
 """The per-shape-pair kernel state: memoised, bounded, and never a value change.
 
 ``specfun.shape_pair`` keeps one state per (mu1, mu2): the series route,
-ln Gamma(mu1) + ln Gamma(mu2), the log-series log-factorials and weights
-grown as far as k has reached, ln |Gamma(-gap)| and ln Gamma(gap) of each
-two-branch gap, the residual's Bessel K table, and the clamp.  Every F_Z
+ln Gamma(mu1) + ln Gamma(mu2), the route's x-free terms (the log-series'
+log-factorials, or the paired series' ln |Gamma(-gap)|, ln Gamma(gap) and
+ln Gamma(1+e) - ln Gamma(1-e)) and its per-term weights grown as far as k
+has reached, the residual's Bessel K table, and the clamp.  Every F_Z
 value, error and flag must be the same whichever memo the call meets.
 """
 
@@ -18,8 +19,10 @@ from fdrelay.outage import outage_af, outage_df
 from fdrelay.presets import preset_config
 from fdrelay.specfun import shape_pair
 
-# one pair per series route; the complement is reached past x = 12 on each
+# one pair per series route, and a near-integer gap on the paired series;
+# the complement is reached past x = 12 on each
 PAIRS = {"log": (1.0, 3.0), "two": (1.3, 0.7), "near": (1.5, 2.50005)}
+ROUTES = {"log": "log", "two": "two", "near": "two"}
 XS = (1e-3, 0.5, 5.0, 8.0, 11.5, 30.0, 400.0)
 
 
@@ -48,8 +51,8 @@ def _engines(mu1, mu2):
 
 
 def test_each_pair_takes_its_route():
-    for route, shapes in PAIRS.items():
-        assert shape_pair(*shapes).route == route
+    for name, shapes in PAIRS.items():
+        assert shape_pair(*shapes).route == ROUTES[name]
     assert max(XS) > specfun._X_SERIES_MAX
 
 

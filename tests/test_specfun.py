@@ -6,6 +6,7 @@ imports them.
 
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -39,8 +40,8 @@ mpmath.mp.dps = 30
 # ln Gamma, from libm: the values the package keeps, against mpmath
 
 def _assert_ln_gamma_within_budget(value, x):
-    # (8 + 2 |ln Gamma|) EPS: a ln Gamma tens of ulp off near 1.5 puts the
-    # two-branch nodes of the near-integer route outside their err
+    # (8 + 2 |ln Gamma|) EPS: a ln Gamma tens of ulp off near 1.5 put the
+    # two-branch series' cells near gaps 1, 2 and 3 outside their err
     with mpmath.workdps(40):
         ref = mpmath.loggamma(mpmath.mpf(x))
         assert abs(mpmath.mpf(value) - ref) <= (8 + 2 * abs(ref)) * specfun.EPS, x
@@ -607,18 +608,18 @@ def test_meijer_float_noise_gap_takes_the_log_series(monkeypatch):
     # 2.2 - 1.2 = 1.0000000000000002 is an integer gap up to rounding; its
     # value is checked against mpmath in test_meijer_matches_mpmath
     def forbidden(*args):
-        raise AssertionError("near-integer route called")
+        raise AssertionError("paired series called")
 
-    monkeypatch.setattr(specfun, "_g_near_integer", forbidden)
+    monkeypatch.setattr(specfun, "_g_series_noninteger", forbidden)
     assert 2.2 - 1.2 != 1.0
     assert 0.0 < g2131(2.2, 1.2, 0.5) < math.inf
 
 
 # ----------------------------------------------------------------------
-# near-integer gaps: interpolation across the gap
+# non-integer gaps: the paired series
 #
-# a gap delta with 0 < |delta - d| < 1e-4 for an integer d; sigma is
-# min(mu) + delta/2, so G's pole at delta = 2 sigma lies 2 min(mu) away
+# a gap delta = d + e, 0 < |e| <= 1/2, for the integer d nearest it; sigma
+# is min(mu) + delta/2, so G's pole at delta = 2 sigma lies 2 min(mu) away
 
 def cdf_reference(delta, sigma, x):
     """F_Z = x^s G(x) / (Gamma(s + delta/2) Gamma(s - delta/2)) by mpmath."""
@@ -629,42 +630,102 @@ def cdf_reference(delta, sigma, x):
 
 
 def test_near_integer_gap_matches_mpmath():
-    # the interpolation error grows with |ln x| through x^(+-delta/2), to
-    # about 2e-8 relative at x = 1e-25, where only the estimate is checked,
-    # down to 1e-30, below which the route returns 0 with its value here as error
+    # within 1e-4 of an integer the unpaired branches cancel 1e4-fold or
+    # more; the paired series keeps 1e-10 relative down to x = 1e-300
     deltas = sorted({abs(d + sign * off) for d in (0, 1, 2, 3, 6)
                      for off in (3e-6, 2e-5, 9.9e-5) for sign in (-1, 1)})
     for delta in deltas:
         for mu_min in (0.5, 1.7, 4.5, 8.0):
             sigma = mu_min + delta / 2.0
             pair = ShapePair(sigma - delta / 2.0, sigma + delta / 2.0)
-            for x in (1e-30, 1e-25, 1e-20, 1e-10, 1e-3, 0.5, 3.0, 5.9):
+            for x in (1e-300, 1e-200, 1e-40, 1e-30, 1e-25, 1e-20, 1e-10, 1e-3, 0.5, 3.0, 5.9):
                 value, err = _g_series(pair, x)
                 ref = cdf_reference(pair.delta, pair.sigma, x)
                 cell = (delta, mu_min, x)
                 assert math.isfinite(err), cell
                 assert abs(value - ref) <= err, cell
-                if x >= 1e-10:
-                    assert abs(value - ref) <= 1e-10 * abs(ref), cell
+                assert abs(value - ref) <= 1e-10 * abs(ref), cell
 
 
 def test_two_branch_nodes_of_the_near_integer_route_bound_their_error():
-    # the route's nodes off the integer gap d, at the pair's sigma and
-    # normalisation, where the branches cancel about 100-fold: 108 nodes,
-    # whose err holds only with ln Gamma(gap) and ln Gamma(1 + gap) a few ulp off
+    # gaps 0.01 to 0.03 off the integers 1, 2 and 3, where the unpaired
+    # branches cancel about 100-fold: 108 cells, whose err held only with
+    # ln Gamma(gap) and ln Gamma(1 + gap) a few ulp off
     for d in (1, 2, 3):
         for sigma in (2.0, 3.5, 5.0):
-            pair = ShapePair(sigma - d / 2.0, sigma + d / 2.0)
-            for k in (-3, -2, -1, 1, 2, 3):
-                gap = d + k * specfun._INTERP_STEP
+            for off in (-0.03, -0.02, -0.01, 0.01, 0.02, 0.03):
+                gap = d + off
+                pair = ShapePair(sigma - gap / 2.0, sigma + gap / 2.0)
+                assert pair.route == "two"
                 for x in (10.0, 11.9):
-                    value, err = specfun._g_series_noninteger(pair, gap, x)
+                    value, err = specfun._g_series_noninteger(pair, x)
                     with mpmath.workdps(40):
-                        s, h, xm = mpmath.mpf(sigma), mpmath.mpf(gap) / 2, mpmath.mpf(x)
+                        s, h, xm = (mpmath.mpf(pair.sigma), mpmath.mpf(pair.delta) / 2,
+                                    mpmath.mpf(x))
                         g = mpmath.meijerg([[1 - s], []], [[h, -h], [-s]], xm)
                         ref = xm ** s * g / (mpmath.gamma(mpmath.mpf(pair.a.mu))
                                              * mpmath.gamma(mpmath.mpf(pair.b.mu)))
                     assert abs(value - ref) <= err, (d, sigma, gap, x)
+
+
+def test_ln_gamma_ratio_matches_mpmath():
+    # the paired series' A = ln Gamma(1+e) - ln Gamma(1-e), within the
+    # relative budget its err counts, from float noise to the half-integer gap
+    bound = specfun._LN_GAMMA_RATIO_ERR * specfun.EPS
+    es = np.concatenate([np.geomspace(1e-16, 0.5, 400), np.linspace(0.09, 0.5, 400)])
+    for e in es:
+        for x in (float(e), -float(e)):
+            with mpmath.workdps(40):
+                ref = mpmath.loggamma(1 + mpmath.mpf(x)) - mpmath.loggamma(1 - mpmath.mpf(x))
+            assert abs(specfun._ln_gamma_ratio(x) - ref) <= bound * abs(ref), x
+
+
+def _paired_reference(delta, sigma, x):
+    """F_Z = x^s G(x) / (Gamma(s + delta/2) Gamma(s - delta/2)) from G's unpaired branches.
+
+    Each is (1/a) 1F2(a; a + 1, 1 +- delta; x), a = sigma +- delta/2, taken
+    at enough digits to absorb their cancellation.
+    """
+    e = abs(delta - round(delta))
+    with mpmath.workdps(60 + int(-math.log10(e))):
+        d, s, xm = mpmath.mpf(delta), mpmath.mpf(sigma), mpmath.mpf(x)
+        h = d / 2
+        plus = mpmath.hyp1f2(s + h, s + h + 1, 1 + d, xm) / (s + h)
+        minus = mpmath.hyp1f2(s - h, s - h + 1, 1 - d, xm) / (s - h)
+        g = mpmath.gamma(-d) * xm ** h * plus + mpmath.gamma(d) * xm ** -h * minus
+        return xm ** s * g / (mpmath.gamma(s + h) * mpmath.gamma(s - h))
+
+
+def test_paired_series_grid_matches_mpmath():
+    # every non-integer gap takes the paired series: its err bounds its
+    # error on every cell, and up to x = 6 it holds 1e-10 relative down to
+    # the least normal double, wherever F_Z is normal too.  At e = +-0.1 and
+    # x >= 6 the err needs D_j's roundoff, |t_j| e^{D_j} times its parts
+    xs = (sys.float_info.min, 1e-300, 1e-200, 1e-100, 1e-30, 1e-10, 1e-3, 0.5, 3.0, 6.0,
+          9.0, 11.9)
+    for d in (0, 1, 2, 3, 6, 20):
+        for e in (1e-14, 1e-10, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5):
+            for delta in {d + e, abs(d - e)}:
+                for mu_min in (0.5, 2.0, 8.0):
+                    pair = ShapePair(mu_min, mu_min + delta)
+                    if pair.route == "log":   # 20 + 1e-14 is 20 up to float noise
+                        assert d == 20 and e == 1e-14
+                        continue
+                    assert abs(pair.delta - pair.d) <= 0.5
+                    for x in xs:
+                        value, err = _g_series(pair, x)
+                        ref = _paired_reference(pair.delta, pair.sigma, x)
+                        cell = (pair.delta, mu_min, x)
+                        assert abs(value - ref) <= err, cell
+                        if x <= 6.0 and ref >= sys.float_info.min:
+                            assert abs(value - ref) <= 1e-10 * ref, cell
+    # the unpaired reference is G itself
+    for delta, sigma, x in ((1.0001, 2.0, 1e-200), (0.3, 1.5, 11.9), (19.5, 10.5, 3.0)):
+        with mpmath.workdps(40):
+            s, h = mpmath.mpf(sigma), mpmath.mpf(delta) / 2
+            g = mpmath.meijerg([[1 - s], []], [[h, -h], [-s]], mpmath.mpf(x))
+            ref = mpmath.mpf(x) ** s * g / (mpmath.gamma(s + h) * mpmath.gamma(s - h))
+        assert abs(_paired_reference(delta, sigma, x) - ref) <= 1e-30 * ref
 
 
 # F_Z where the normalisation Gamma(mu1) Gamma(mu2) or a series prefactor
@@ -691,7 +752,7 @@ def test_large_shapes_keep_f_z_where_the_gamma_norm_underflows():
         ref = cdf_reference(abs(mu1 - mu2), 0.5 * (mu1 + mu2), x)
         assert math.isfinite(err) and value > 0.0, (mu1, mu2, x)
         assert abs(value - ref) <= err, (mu1, mu2, x, value, ref, err)
-        # the near-integer route's estimate reaches 1.3e-7 relative at 130/131.00002
+        # an interpolation in the gap estimated 1.3e-7 relative at 130/131.00002
         assert err <= 1e-6 * ref, (mu1, mu2, x)
 
 
