@@ -8,8 +8,10 @@ cross-check in the test suite:
                        continued fraction above it
 * ``bessel_k``         modified Bessel function of the second kind for real
                        order, the tests' reference: an integral by adaptive
-                       quadrature.  The engines take only Steed's continued
-                       fraction above x = 2 (``_bessel_k_scaled``).
+                       quadrature.  The engines read K off Chebyshev tables
+                       of orders in [0, 1.5] (``_k_table``), fitted to
+                       Steed's continued fraction (``_bessel_k_scaled``) on
+                       each order's first use and shared by every pair.
 * ``_g2131_eval``      the one Meijer G instance needed here: the kernel that
                        closes the CDF F_Z of a product of two gamma-power
                        variates, returned as F_Z itself.  Evaluated by its
@@ -24,11 +26,12 @@ cross-check in the test suite:
                        mu = f + n is stepped down to its fractional part f,
                        which leaves unit-step Bessel-ladder sums and, for two
                        non-integer shapes, a residual with both shapes in
-                       (0, 1) summed by a fixed Gauss-Laguerre rule, its
-                       one Bessel order read off the pair's Chebyshev table
-                       (``_k_table``), whose bound joins the error.  An
-                       integer shape (the Rayleigh, Weibull and integer-m
-                       Nakagami presets) leaves one finite Erlang sum.
+                       (0, 1) summed by a fixed Gauss-Laguerre rule.  The
+                       ladders start from two tables and the residual reads
+                       its one order off a third, each table's bound joining
+                       the error.  An integer shape (the Rayleigh, Weibull
+                       and integer-m Nakagami presets) leaves one finite
+                       Erlang sum.
 
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
@@ -36,8 +39,8 @@ for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
 [1e-10, 1e4], its paired series 1e-10 relative from the least normal double
 to argument 6 for shapes from 0.5, and it returns its own error estimate, inf
 where it reached no value.  The kernel takes hop shapes up to MAX_SHAPE.  ``shape_pair``
-memoises each pair's state, at most _PAIRS_MAX pairs; no value depends on
-the memo.
+memoises each pair's state, at most _PAIRS_MAX pairs, and ``_k_table`` each
+order's table, at most _K_TABLES_MAX orders; no value depends on either memo.
 
 ln Gamma is libm's ``math.lgamma``, as exp and log are: within (6.5 + 2 |ln
 Gamma|) EPS of mpmath on [1e-4, 401] (glibc 2.36), inside the 47 + 2 |ln
@@ -188,18 +191,17 @@ def _k_upward(mu: float, rk: float, rk1: float, x: float, n_up: int, orders: int
     return ladder
 
 
-def _bessel_k_scaled(nu: float, x: float, orders: int | None = None):
-    """e^x K_nu(x) for nu >= 0, x > 2: the engines' K, at arguments from 2 sqrt(6).
+def _bessel_k_scaled(nu: float, x: float) -> float:
+    """e^x K_nu(x) for nu >= 0, x > 2: one continued fraction and the upward recurrence.
 
-    With ``orders`` = n, the list e^x K_{nu+j}(x), j = 0 .. n-1, off one
-    continued fraction and one upward recurrence.
+    Only ``_k_table`` calls it, to fit its series; the engines read K off those.
     """
     if not x > 2.0:
         raise DomainError(f"the continued-fraction K takes x > 2, got {x}")
     n_up = int(nu + 0.5)
     mu = nu - n_up
     rk, rk1 = _bessel_k_cf2(mu, x)
-    return _k_upward(mu, rk, rk1, x, n_up, orders)
+    return _k_upward(mu, rk, rk1, x, n_up, None)
 
 
 # rel_tol above the 50 EPS roundoff floor of each Gauss-Kronrod panel
@@ -481,11 +483,15 @@ _LAGUERRE_20 = _gauss_laguerre(20)
 # and x0 >= 6; certified against mpmath in the tests
 _RESIDUAL_RULE_ERR = 1e-13
 
-# the residual's K table: its terms, and its variable y = _K_TABLE_SCALE / t - 1
+# the engines' K tables: their terms, their variable y = _K_TABLE_SCALE / t - 1
 # = 2u - 1 with u = 2 sqrt(6) / t, which maps the tail's t in [2 sqrt(6), inf)
-# onto y in (-1, 1]
+# onto y in (-1, 1], and their memo, order -> (coefficients, bound), at most
+# _K_TABLES_MAX orders
 _K_TABLE_TERMS = 16
-_K_TABLE_SCALE = 4.0 * math.sqrt(6.0)
+_K_TABLE_T_MIN = 2.0 * math.sqrt(6.0)
+_K_TABLE_SCALE = 2.0 * _K_TABLE_T_MIN
+_K_TABLES: dict = {}
+_K_TABLES_MAX = 256
 
 
 def _clenshaw(coeffs, y: float) -> float:
@@ -497,8 +503,8 @@ def _clenshaw(coeffs, y: float) -> float:
     return y * b1 - b2 + coeffs[0]
 
 
-def _k_table(c: float):
-    """Chebyshev series in y of g = sqrt(t) e^t K_c(t), c in [0, 1), and its relative bound.
+def _k_table(nu: float):
+    """Chebyshev series in y of g = sqrt(t) e^t K_nu(t), nu in [0, 1.5], and its relative bound.
 
     g is smooth in u = 2 sqrt(6) / t on [0, 1] and tends to sqrt(pi / 2) as t
     grows.  The series interpolates ``_bessel_k_scaled`` at the
@@ -508,13 +514,19 @@ def _k_table(c: float):
     points cos(pi k / n), y = 1 (t = 2 sqrt(6)) included, where the error of
     an interpolant peaks, plus the two trailing coefficients, which estimate
     the truncation, plus 8 EPS for the continued fraction's own error
-    (measured below 5 EPS against mpmath).  Returns (coefficients, bound).
+    (measured below 5 EPS against mpmath).  A table depends on its order
+    alone: it is built on the order's first use, from 2 n continued
+    fractions, and kept in _K_TABLES for every shape pair, the oldest order
+    dropped first.  Returns (coefficients, bound).
     """
+    table = _K_TABLES.get(nu)
+    if table is not None:
+        return table
     n = _K_TABLE_TERMS
 
     def g(y):
         t = _K_TABLE_SCALE / (y + 1.0)
-        return math.sqrt(t) * _bessel_k_scaled(c, t)
+        return math.sqrt(t) * _bessel_k_scaled(nu, t)
 
     values = [g(math.cos(math.pi * (k + 0.5) / n)) for k in range(n)]
     coeffs = [2.0 / n * math.fsum(v * math.cos(math.pi * j * (k + 0.5) / n)
@@ -526,7 +538,30 @@ def _k_table(c: float):
         ref = g(y)
         deviation = max(deviation, abs(_clenshaw(coeffs, y) - ref) / ref)
     trailing = (abs(coeffs[-1]) + abs(coeffs[-2])) / min(values)
-    return coeffs, 2.0 * deviation + trailing + 8.0 * EPS
+    if len(_K_TABLES) >= _K_TABLES_MAX:
+        del _K_TABLES[next(iter(_K_TABLES))]   # the oldest
+    table = _K_TABLES[nu] = (coeffs, 2.0 * deviation + trailing + 8.0 * EPS)
+    return table
+
+
+def _k_ladder(nu: float, t: float, n: int):
+    """[e^t K_{nu+j}(t), j < n] for nu >= 0, t >= 2 sqrt(6), and its relative bound.
+
+    The starting pair e^t K_m, e^t K_{m+1}, m = nu - round(nu) in [-1/2,
+    1/2], comes off the tables of orders |m| and m + 1 and ``_k_upward``
+    climbs from it.  Each step adds positive multiples of the two, so every
+    value keeps the larger of the two tables' bounds, which is returned.
+    Below 2 sqrt(6) the tables would extrapolate past y = 1.
+    """
+    if not t >= _K_TABLE_T_MIN:
+        raise DomainError(f"the tabled K takes t >= 2 sqrt(6), got {t}")
+    n_up = int(nu + 0.5)
+    mu = nu - n_up
+    (lo, lo_err), (hi, hi_err) = _k_table(abs(mu)), _k_table(mu + 1.0)
+    y = _K_TABLE_SCALE / t - 1.0
+    root = math.sqrt(t)
+    ladder = _k_upward(mu, _clenshaw(lo, y) / root, _clenshaw(hi, y) / root, t, n_up, n)
+    return ladder, max(lo_err, hi_err)
 
 
 # the largest hop shape: e^t K_200(t) is e^683 at the smallest tail argument,
@@ -571,7 +606,6 @@ class ShapePair:
         # log-series [(psi(k+1) + psi(d+k+1), 1 / c, c, (k+1) (d+k+1))], c = sigma + k + d/2;
         # paired series [(sigma + delta/2 + j, (j+1) (j+1+delta), K_j, its roundoff, q_j)]
         self.weights = []
-        self.k_table = None   # the residual's _k_table, built on its first use
         r1, r2 = _reduced(mu1), _reduced(mu2)
         self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
         # reduced first: an integer shape if any, else the smaller f
@@ -605,14 +639,15 @@ def shape_pair(mu1: float, mu2: float) -> ShapePair:
 def _bessel_sum(e: float, half_ln: float, ln_pre: float, f: float, g: float, ladder):
     """sum_k exp((e + k) half_ln + ln_pre - g_k) ladder[k], g_k = g + ln((f+1) .. (f+k)).
 
-    Returns the sum and the magnitude its largest exponent's parts reach.
+    Returns the sum and the magnitude its largest exponent's parts reach,
+    those of its last term, k = len(ladder) - 1.
     """
     total = 0.0
     for k, value in enumerate(ladder):
         if k:
             g += math.log(f + k)
         total += math.exp((e + k) * half_ln + ln_pre - g) * value
-    return total, (e + len(ladder)) * half_ln + abs(ln_pre) + abs(g)
+    return total, (e + len(ladder) - 1) * half_ln + abs(ln_pre) + abs(g)
 
 
 def _kernel_tail(pair: ShapePair, x0: float):
@@ -629,22 +664,23 @@ def _kernel_tail(pair: ShapePair, x0: float):
 
     An integer shape a (f_a = 0) leaves the first sum alone, the Erlang sum
     of the Rayleigh, Weibull and Nakagami-m presets.  With c = f_b - f_a in
-    [0, 1) every order is c + j off one ``_bessel_k_scaled`` ladder, but for
-    the first sum's orders past its crossing of 0 (mu 1.5 / 3), which take a
-    second ladder at 1 - c.  Each term is exp of its log parts times
-    e^{t0} K, in range up to MAX_SHAPE.  The residual has both shapes in
-    (0, 1); in t = t0 + s it is 2^{2-2r} e^{-t0} / (Gamma(f_a) Gamma(f_b))
-    Int_0^inf e^{-s} t^{2r-1} (e^t K_c(t)) ds with r = (f_a + f_b) / 2,
-    which a fixed 20-point Gauss-Laguerre rule (Abramowitz & Stegun 25.4.45)
-    sums to within _RESIDUAL_RULE_ERR.  Every node takes sqrt(t) e^t K_c(t)
-    off the pair's Chebyshev table (``_k_table``), built on the pair's first
-    residual.
+    [0, 1) every order is c + j off one ``_k_ladder``, but for the first
+    sum's orders past its crossing of 0 (mu 1.5 / 3), which take a second
+    ladder at 1 - c.  A ladder starts from two Chebyshev tables
+    (``_k_table``) of orders in [0, 1.5], shared by every pair.  Each term is
+    exp of its log parts times e^{t0} K, in range up to MAX_SHAPE.  The
+    residual has both shapes in (0, 1); in t = t0 + s it is 2^{2-2r} e^{-t0}
+    / (Gamma(f_a) Gamma(f_b)) Int_0^inf e^{-s} t^{2r-1} (e^t K_c(t)) ds with
+    r = (f_a + f_b) / 2, which a fixed 20-point Gauss-Laguerre rule
+    (Abramowitz & Stegun 25.4.45) sums to within _RESIDUAL_RULE_ERR.  Every
+    node takes sqrt(t) e^t K_c(t) off the table of order c.
 
     The error is twice the roundoff of the largest exponent, whose parts
     reach ``mag``, plus the error of its ln Gamma parts (a budget of 47 + 2
     |ln Gamma| ulp each, over libm's measured worst, counted in ``mag``), 4
-    EPS per unit of mu_a + mu_b for the terms and ladder steps, and the
-    rule's and the table's bounds on the residual.  Returns (S, abs error).
+    EPS per unit of mu_a + mu_b for the terms and ladder steps, the ladders'
+    table bounds on the sums, and the rule's and the table's bounds on the
+    residual.  Returns (S, abs error).
     """
     a, b = pair.a, pair.b
     t0 = 2.0 * math.sqrt(x0)
@@ -652,24 +688,23 @@ def _kernel_tail(pair: ShapePair, x0: float):
     c = b.f - a.f
     # the first sum's orders c + n_b - k run down its ladder to j = lo
     lo = 0 if a.f and b.n else max(0, b.n - a.n + 1)
-    up = _bessel_k_scaled(c + lo, t0, b.n - lo + 1) if a.n or b.n else []
-    down = _bessel_k_scaled(1.0 - c, t0, a.n - b.n - 1) if a.n > b.n + 1 else []
+    up, up_err = _k_ladder(c + lo, t0, b.n - lo + 1) if a.n or b.n else ([], 0.0)
+    down, down_err = _k_ladder(1.0 - c, t0, a.n - b.n - 1) if a.n > b.n + 1 else ([], 0.0)
     ladder = up[::-1] + down if down else up[:-a.n - 1:-1]   # the first sum's n_a orders
     first, mag = _bessel_sum(b.mu + a.f, half_ln, -t0 - b.ln_gamma_mu, a.f,
                              a.ln_gamma_f + math.log(a.f) if a.f else 0.0, ladder)
     mag += abs(b.ln_gamma_mu) + 24.0
+    ladder_err = max(up_err, down_err)
     if not a.f:
         value = 2.0 * first
-        return value, (16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * value
+        return value, ((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS + ladder_err) * value
     lg = abs(a.ln_gamma_f) + abs(b.ln_gamma_f)
     second, mag_b = _bessel_sum(a.f + b.f, half_ln, -t0 - a.ln_gamma_f, b.f,
                                 b.ln_gamma_f + math.log(b.f), up[:b.n])
     mag = max(mag + abs(a.ln_gamma_f) + 24.0, mag_b + lg + 48.0)
     p = a.f + b.f - 1.0
     ln_pre = (1.0 - p) * _LN2 - a.ln_gamma_f - b.ln_gamma_f - t0
-    if pair.k_table is None:
-        pair.k_table = _k_table(c)
-    coeffs, table_err = pair.k_table
+    coeffs, table_err = _k_table(c)
     q = p - 0.5   # t^p e^t K_c(t) = t^q g
     nodes, weights = _LAGUERRE_20
     res = 0.0
@@ -678,7 +713,7 @@ def _kernel_tail(pair: ShapePair, x0: float):
         res += w * math.exp(q * math.log(t) + ln_pre) * _clenshaw(coeffs, _K_TABLE_SCALE / t - 1.0)
     mag_res = abs(q) * math.log(t0 + nodes[-1]) + abs(ln_pre) + lg + 48.0
     sums = 2.0 * (first + second)
-    err = ((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS * sums
+    err = (((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS + ladder_err) * sums
            + (_RESIDUAL_RULE_ERR + table_err + (40.0 + 2.0 * mag_res) * EPS) * res)
     return sums + res, err
 

@@ -38,10 +38,10 @@ PINNED = {
                   ('0x1.604b1f0aba522p-1', '0x1.14b6618206fc5p-33')),
     "near-integer": (('0x1.9048241a84122p-2', '0x1.6a045607b8522p-43'),
                     ('0x1.48feaf24fc32ap-1', '0x1.3641dadc9f1b1p-37')),
-    "integer-complement": (('0x1.fffce9e058849p-1', '0x1.05266419e305cp-49'),
-                          ('0x1.ffffe4ee9b50ap-1', '0x1.0725b0a1b36e1p-49')),
-    "residual-complement": (('0x1.fff219cd22fa6p-1', '0x1.00df5ed218d84p-49'),
-                           ('0x1.ffff0e5f14b42p-1', '0x1.0619ee1122566p-49')),
+    "integer-complement": (('0x1.fffce9e058849p-1', '0x1.052a62ae0c654p-49'),
+                          ('0x1.ffffe4ee9b50ap-1', '0x1.0729af35dccd9p-49')),
+    "residual-complement": (('0x1.fff219cd22fa6p-1', '0x1.00f09450fa57cp-49'),
+                           ('0x1.ffff0e5f14b42p-1', '0x1.062b2385a7597p-49')),
     "clamped": (('0x1.0000000000000p+0', '0x1.00da72db91f3cp-49'),
                ('0x1.0000000000000p+0', '0x1.00da72db91f3cp-49')),
 }

@@ -89,15 +89,20 @@ def test_engines_are_bit_identical_cold_warm_and_interleaved():
 
 def test_residual_k_table_moves_no_value():
     # mu 1.3 / 1.8 at x0 = 50 reaches the residual: the first call builds
-    # the pair's table, the second reads it
+    # the K tables of its orders, the second reads them, and tables built
+    # first for another pair give the same value
     for fn in (specfun._kernel_tail, specfun._g2131_eval):
         specfun._PAIRS.clear()
+        specfun._K_TABLES.clear()
         pair = shape_pair(1.3, 1.8)
-        assert pair.k_table is None
         fresh = fn(pair, 50.0)
-        assert pair.k_table is not None
+        assert specfun._K_TABLES
         assert fn(pair, 50.0) == fresh, fn.__name__
         specfun._PAIRS.clear()
+        specfun._K_TABLES.clear()
+        assert fn(shape_pair(1.3, 1.8), 50.0) == fresh, fn.__name__
+        specfun._K_TABLES.clear()
+        fn(shape_pair(2.3, 3.8), 50.0)                           # the same orders
         assert fn(shape_pair(1.3, 1.8), 50.0) == fresh, fn.__name__
 
 

@@ -166,7 +166,8 @@ def test_bessel_k_shares_no_code_with_the_engines_k(monkeypatch):
     def forbidden(*args):
         raise AssertionError("continued-fraction K called")
 
-    for name in ("_bessel_k_cf2", "_k_upward", "_bessel_k_scaled"):
+    for name in ("_bessel_k_cf2", "_k_upward", "_bessel_k_scaled", "_k_table", "_k_ladder",
+                 "_clenshaw"):
         monkeypatch.setattr(specfun, name, forbidden)
     for nu in (0.0, 0.5, 3.7, 20.0):
         for x in (1e-8, 0.5, 2.0, 6.0, 300.0):
@@ -178,8 +179,28 @@ def test_continued_fraction_k_takes_only_x_above_2():
     for x in (2.0, 1.0, 1e-3):
         with pytest.raises(DomainError):
             _bessel_k_scaled(0.3, x)
+
+
+def test_tabled_ladder_takes_only_t_from_2_sqrt_6():
+    # below t = 2 sqrt(6) the tables would extrapolate past y = 1
+    t_min = 2.0 * math.sqrt(6.0)
+    for t in (math.nextafter(t_min, 0.0), 2.0, 1.0, 1e-3):
         with pytest.raises(DomainError):
-            _bessel_k_scaled(2.0, x, 3)
+            specfun._k_ladder(2.0, t, 3)
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 0.7, 1.0, 2.25, 7.5])
+def test_tabled_ladder_matches_mpmath_within_its_bound(nu):
+    # e^t K_{nu+j}(t), j < 6, from the tables' starting pair up: each value
+    # within the larger table bound plus 4 EPS a step of the recurrence
+    n = 6
+    for t in (2.0 * math.sqrt(6.0), 7.3, 30.0, 632.0):
+        ladder, bound = specfun._k_ladder(nu, t, n)
+        assert len(ladder) == n and bound <= 1e-14
+        for j, value in enumerate(ladder):
+            ref = mpmath.exp(t) * mpmath.besselk(nu + j, t)
+            tol = bound + 4.0 * (nu + j + 1.0) * specfun.EPS
+            assert abs(value - ref) <= tol * ref, (nu, t, j)
 
 
 def test_bessel_k_past_the_double_range_and_at_subnormal_x():
@@ -338,82 +359,122 @@ def test_erlang_sum_is_the_kernel_tail_integral():
             assert abs(tail - ref) <= mpmath.mpf(10) ** -25 * ref, (delta, m, x0)
 
 
-def _count_bessel_calls(monkeypatch):
+# continued fractions per K table: the 16 Chebyshev nodes and the 16
+# interleaved points that bound it
+CF_PER_TABLE = 2 * specfun._K_TABLE_TERMS
+
+
+def _count_cf_calls(monkeypatch):
+    """Every continued fraction from now on, with the table memo emptied first."""
     calls = []
+    real = specfun._bessel_k_cf2
 
     def counted(*args):
         calls.append(args)
-        return _bessel_k_scaled(*args)
+        return real(*args)
 
-    monkeypatch.setattr(specfun, "_bessel_k_scaled", counted)
+    monkeypatch.setattr(specfun, "_K_TABLES", {})
+    monkeypatch.setattr(specfun, "_bessel_k_cf2", counted)
     return calls
 
 
 def test_kernel_tail_closed_form_matches_mpmath(monkeypatch):
     # 6 x 5 x 7 cells with an integer smaller shape m = sigma - delta/2,
     # plus shapes 1 / 2.2, whose m = 0.9999999999999999 is float noise;
-    # each is one ladder of Bessel values, and its err certifies it
-    bessel_calls = _count_bessel_calls(monkeypatch)
+    # each is one ladder of Bessel values, and its err certifies it.  The
+    # continued fraction runs only to build a table, once per order, and a
+    # warm tail repeats its value without one
+    cf_calls = _count_cf_calls(monkeypatch)
     x0s = [float(x) for x in np.geomspace(12.0, 1e5, 7)]
     cells = [(delta, m + delta / 2.0, x0, m)
              for delta in (0.0, 0.3, 1.0, 2.5, 4.75, 7.5) for m in (1, 2, 3, 5, 8)
              for x0 in x0s]
     cells += [(2.2 - 1.0, 0.5 * (1.0 + 2.2), x0, 1) for x0 in x0s]
     for delta, sigma, x0, m in cells:
-        before = len(bessel_calls)
-        value, err = _kernel_tail(tail_shapes(delta, sigma), x0)
-        ref = erlang_tail_reference(delta, m, x0) / (mpmath.gamma(m) * mpmath.gamma(m + delta))
+        pair = tail_shapes(delta, sigma)
+        value, err = _kernel_tail(pair, x0)
         cell = (delta, sigma, x0)
-        assert math.isfinite(err) and len(bessel_calls) == before + 1, cell
+        assert len(cf_calls) == CF_PER_TABLE * len(specfun._K_TABLES), cell
+        before = len(cf_calls)
+        assert _kernel_tail(pair, x0) == (value, err) and len(cf_calls) == before, cell
+        ref = erlang_tail_reference(delta, m, x0) / (mpmath.gamma(m) * mpmath.gamma(m + delta))
+        assert math.isfinite(err), cell
         assert abs(value - ref) <= 1e-12 * ref, cell
         assert abs(value - ref) <= err, cell
         assert err <= 1e-12 * value, cell
 
 
 def test_preset_shape_tail_makes_one_bessel_call(monkeypatch):
-    # delta 0, smaller shape 2 (Nakagami-2 hops) at x0 = 50: one counted
-    # ladder call, never the Gauss-Laguerre rule
+    # delta 0, smaller shape 2 (Nakagami-2 hops) at x0 = 50: one ladder,
+    # never the Gauss-Laguerre rule; cold it builds the K_0 and K_1 tables,
+    # warm it runs no continued fraction
     class Untouchable:
         def __iter__(self):
             raise AssertionError("Gauss-Laguerre rule used")
 
     monkeypatch.setattr(specfun, "_LAGUERRE_20", Untouchable())
-    calls = _count_bessel_calls(monkeypatch)
-    value, err = _kernel_tail(shape_pair(2.0, 2.0), 50.0)
-    assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
-    assert len(calls) == 1
+    cf_calls = _count_cf_calls(monkeypatch)
+    ladders = []
+    real = specfun._k_ladder
+
+    def counted(*args):
+        ladders.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "_k_ladder", counted)
+    for x0, cf in ((50.0, 2 * CF_PER_TABLE), (80.0, 0)):
+        before = len(cf_calls)
+        value, err = _kernel_tail(shape_pair(2.0, 2.0), x0)
+        assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
+        assert len(cf_calls) == before + cf
+    assert len(ladders) == 2
+    assert sorted(specfun._K_TABLES) == [0.0, 1.0]
 
 
 def test_kernel_tail_bessel_work(monkeypatch):
-    # a cold non-integer pair takes one ladder and builds its K table off
-    # the 16 Chebyshev nodes and the 16 interleaved points that bound it; a
-    # warm one takes the ladder alone, its 20 residual nodes off the table;
-    # an integer pair one ladder and no table; neither integrates adaptively
+    # a cold K_0 / K_1 pair of tables, 2 x 32 continued fractions once per
+    # process, serves the residual and the ladder of mu 1.125 / 2.125 and
+    # the Erlang ladders of mu 1 / 1 and 2 / 2; a warm tail runs no
+    # continued fraction; nothing integrates adaptively
     monkeypatch.setattr(specfun, "_PAIRS", {})
     adaptive = _forbid_adaptive_tail(monkeypatch)
-    calls = _count_bessel_calls(monkeypatch)
-    pair = shape_pair(1.125, 2.125)
-    value, err = _kernel_tail(pair, 50.0)
+    cf_calls = _count_cf_calls(monkeypatch)
+    value, err = _kernel_tail(shape_pair(1.125, 2.125), 50.0)
     assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
-    assert len(calls) == 1 + 2 * specfun._K_TABLE_TERMS
-    assert pair.k_table is not None
-    before = len(calls)
-    value, err = _kernel_tail(pair, 80.0)
-    assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
-    assert len(calls) == before + 1
-    before = len(calls)
-    pair = shape_pair(2.0, 2.0)
-    value, err = _kernel_tail(pair, 50.0)
-    assert math.isfinite(err) and 0.0 < value
-    assert len(calls) == before + 1
-    assert pair.k_table is None
+    assert len(cf_calls) == 2 * CF_PER_TABLE
+    assert sorted(specfun._K_TABLES) == [0.0, 1.0]
+    for mu1, mu2, x0 in ((1.125, 2.125, 80.0), (1.0, 1.0, 50.0), (2.0, 2.0, 50.0),
+                         (2.125, 1.125, 50.0)):
+        value, err = _kernel_tail(shape_pair(mu1, mu2), x0)
+        assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
+        assert len(cf_calls) == 2 * CF_PER_TABLE, (mu1, mu2, x0)
     assert not adaptive
 
 
-@pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.37, 0.5, 0.6, 0.93, 1.0 - 1e-9])
+def test_k_tables_stay_at_their_bound(monkeypatch):
+    # 300 shape pairs mu / 2, mu from 1 to 1.5, ask for 600 orders, c and
+    # 1 + c; the memo keeps the newest _K_TABLES_MAX, and a value whose
+    # tables were dropped and rebuilt is the same
+    monkeypatch.setattr(specfun, "_K_TABLES", {})
+    monkeypatch.setattr(specfun, "_PAIRS", {})
+    mus = [1.0 + (i + 0.5) / 600 for i in range(300)]
+    first = _kernel_tail(shape_pair(mus[0], 2.0), 50.0)
+    first_orders = set(specfun._K_TABLES)
+    assert len(first_orders) == 2
+    for mu in mus:
+        _kernel_tail(shape_pair(mu, 2.0), 50.0)
+        assert len(specfun._K_TABLES) <= specfun._K_TABLES_MAX
+    assert len(specfun._K_TABLES) == specfun._K_TABLES_MAX
+    assert not first_orders & set(specfun._K_TABLES)                # the oldest go first
+    assert _kernel_tail(shape_pair(mus[0], 2.0), 50.0) == first
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-9, 0.1, 0.37, 0.5, 0.6, 0.93, 1.0 - 1e-9, 1.0, 1.25, 1.5])
 def test_k_table_matches_mpmath_within_its_bound(c):
     # sqrt(t) e^t K_c(t) off the table, t from 2 sqrt(6) to 1e4, against
-    # mpmath at 30 digits; the bound must be informative, not vacuous
+    # mpmath at 30 digits, for the residual's orders in [0, 1) and the
+    # ladders' starting orders up to 1.5; the bound must be informative,
+    # not vacuous
     coeffs, bound = specfun._k_table(c)
     assert bound <= 1e-14
     for t in np.geomspace(2.0 * math.sqrt(6.0), 1e4, 120):
