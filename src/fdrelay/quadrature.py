@@ -98,11 +98,12 @@ def integrate_adaptive(f, a: float, b: float,
         heap.append((-err, count, lo, hi, val, err))
         count += 1
     heapq.heapify(heap)
-    for _ in range(settings.max_subdivisions):
+    for i in range(settings.max_subdivisions + 1):
         total = sum(item[4] for item in heap)
         total_err = sum(item[5] for item in heap)
-        if total_err <= max(settings.abs_tol, settings.rel_tol * abs(total)):
-            return total, total_err, True
+        converged = total_err <= max(settings.abs_tol, settings.rel_tol * abs(total))
+        if converged or i == settings.max_subdivisions:
+            return total, total_err, converged
         _, _, lo, hi, val, err = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -116,10 +117,6 @@ def integrate_adaptive(f, a: float, b: float,
         count += 1
         heapq.heappush(heap, (-e2, count, mid, hi, v2, e2))
         count += 1
-    total = sum(item[4] for item in heap)
-    total_err = sum(item[5] for item in heap)
-    converged = total_err <= max(settings.abs_tol, settings.rel_tol * abs(total))
-    return total, total_err, converged
 
 
 def integrate_to_infinity(f, a: float,

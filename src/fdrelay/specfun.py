@@ -16,22 +16,23 @@ cross-check in the test suite:
                        closes the CDF F_Z of a product of two gamma-power
                        variates, returned as F_Z itself.  Evaluated by its
                        ascending residue series, the confluent logarithmic
-                       series at an integer gap and otherwise the two
-                       branches paired term by term, free of cancellation
-                       however near an integer the gap (each series with its
-                       prefactors, x^sigma and 1 / (Gamma(mu1) Gamma(mu2))
-                       in one log scale), and
-                       for large argument as 1 - S, with S = P(X1 X2 > x)
-                       by shape reduction (``_kernel_tail``): each shape
-                       mu = f + n is stepped down to its fractional part f,
-                       which leaves unit-step Bessel-ladder sums and, for two
-                       non-integer shapes, a residual with both shapes in
-                       (0, 1) summed by a fixed Gauss-Laguerre rule.  The
-                       ladders start from two tables and the residual reads
-                       its one order off a third, each table's bound joining
-                       the error.  An integer shape (the Rayleigh, Weibull
-                       and integer-m Nakagami presets) leaves one finite
-                       Erlang sum.
+                       series at an integer gap and otherwise the two branches
+                       paired term by term, free of cancellation however near
+                       an integer the gap (each series with its prefactors,
+                       x^sigma and 1 / (Gamma(mu1) Gamma(mu2)) in one log
+                       scale), up to argument 12, and past it as 1 - S,
+                       with S = P(X1 X2 > x) by shape reduction
+                       (``_kernel_tail``): one route per argument.  Each
+                       shape mu = f + n is stepped down to its fractional
+                       part f (at an integer gap, the smaller shape's f for
+                       both), which leaves unit-step Bessel-ladder sums and,
+                       for two non-integer shapes, a residual with both
+                       shapes in (0, 1) summed by a fixed Gauss-Laguerre
+                       rule.  The ladders start from two tables and the
+                       residual reads its one order off a third, each
+                       table's bound joining the error.  An integer shape
+                       (the Rayleigh, Weibull and integer-m Nakagami
+                       presets) leaves one finite Erlang sum.
 
 Accuracy targets are part of the contract: ``bessel_k`` holds 1e-10 relative
 for order in [0, 20] and argument in [1e-8, 700]; ``_g2131_eval`` holds
@@ -171,23 +172,17 @@ def _bessel_k_cf2(mu: float, x: float):
     return rk, rk1
 
 
-def _k_upward(mu: float, rk: float, rk1: float, x: float, n_up: int, orders: int | None):
-    """K at order mu + n_up from the pair at mu and mu + 1, |mu| <= 0.5.
+def _k_upward(mu: float, rk: float, rk1: float, x: float, n: int):
+    """[e^x K_{mu+i}(x), i < n] from the pair at mu and mu + 1, |mu| <= 0.5, n >= 1.
 
     The recurrence K_{v+1} = K_{v-1} + (2 v / x) K_v is stable upward for K
-    and holds alike for e^x K.  With ``orders`` = n, the list of the n orders
-    mu + n_up .. mu + n_up + n - 1 instead.
+    and holds alike for e^x K.
     """
-    top = n_up if orders is None else n_up + orders - 1
     two_over_x = 2.0 / x
-    ladder = []
-    for i in range(1, top + 1):
-        if i > n_up:
-            ladder.append(rk)
+    ladder = [rk]
+    for i in range(1, n):
         rk, rk1 = rk1, (mu + i) * two_over_x * rk1 + rk
-    if orders is None:
-        return rk
-    ladder.append(rk)
+        ladder.append(rk)
     return ladder
 
 
@@ -201,7 +196,7 @@ def _bessel_k_scaled(nu: float, x: float) -> float:
     n_up = int(nu + 0.5)
     mu = nu - n_up
     rk, rk1 = _bessel_k_cf2(mu, x)
-    return _k_upward(mu, rk, rk1, x, n_up, None)
+    return _k_upward(mu, rk, rk1, x, n_up + 1)[-1]
 
 
 # rel_tol above the 50 EPS roundoff floor of each Gauss-Kronrod panel
@@ -560,8 +555,8 @@ def _k_ladder(nu: float, t: float, n: int):
     (lo, lo_err), (hi, hi_err) = _k_table(abs(mu)), _k_table(mu + 1.0)
     y = _K_TABLE_SCALE / t - 1.0
     root = math.sqrt(t)
-    ladder = _k_upward(mu, _clenshaw(lo, y) / root, _clenshaw(hi, y) / root, t, n_up, n)
-    return ladder, max(lo_err, hi_err)
+    ladder = _k_upward(mu, _clenshaw(lo, y) / root, _clenshaw(hi, y) / root, t, n_up + n)
+    return ladder[n_up:], max(lo_err, hi_err)
 
 
 # the largest hop shape: e^t K_200(t) is e^683 at the smallest tail argument,
@@ -587,7 +582,7 @@ class ShapePair:
     """The two shapes of F_Z's kernel and the state every argument shares."""
 
     # delta = |mu1 - mu2| is the Bessel order of the kernel and sigma =
-    # (mu1 + mu2) / 2.  The series route is chosen once, as ``_g_series``
+    # (mu1 + mu2) / 2.  The series route is chosen once, as ``_g2131_eval``
     # documents; ``d`` is the integer gap of the log-series, and the nearest
     # integer to the gap for the paired series.  The route's terms that do
     # not depend on x are built on first use, its per-k weights only as far
@@ -606,7 +601,9 @@ class ShapePair:
         # log-series [(psi(k+1) + psi(d+k+1), 1 / c, c, (k+1) (d+k+1))], c = sigma + k + d/2;
         # paired series [(sigma + delta/2 + j, (j+1) (j+1+delta), K_j, its roundoff, q_j)]
         self.weights = []
-        r1, r2 = _reduced(mu1), _reduced(mu2)
+        r1, r2 = sorted((_reduced(mu1), _reduced(mu2)))
+        if d is not None:   # the larger shape as the smaller's f and n + d: one ladder order c = 0
+            r2 = r1._replace(mu=r2.mu, n=r1.n + d, ln_gamma_mu=r2.ln_gamma_mu)
         self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
         # reduced first: an integer shape if any, else the smaller f
         self.a, self.b = (r1, r2) if (r1.f, r1.n) <= (r2.f, r2.n) else (r2, r1)
@@ -686,11 +683,10 @@ def _kernel_tail(pair: ShapePair, x0: float):
     t0 = 2.0 * math.sqrt(x0)
     half_ln = 0.5 * math.log(x0)
     c = b.f - a.f
-    # the first sum's orders c + n_b - k run down its ladder to j = lo
-    lo = 0 if a.f and b.n else max(0, b.n - a.n + 1)
-    up, up_err = _k_ladder(c + lo, t0, b.n - lo + 1) if a.n or b.n else ([], 0.0)
+    # the first sum's n_a orders c + n_b - k: down the ladder at c, past 0 up the one at 1 - c
+    up, up_err = _k_ladder(c, t0, b.n + 1) if a.n or b.n else ([], 0.0)
     down, down_err = _k_ladder(1.0 - c, t0, a.n - b.n - 1) if a.n > b.n + 1 else ([], 0.0)
-    ladder = up[::-1] + down if down else up[:-a.n - 1:-1]   # the first sum's n_a orders
+    ladder = (up[::-1] + down)[:a.n]
     first, mag = _bessel_sum(b.mu + a.f, half_ln, -t0 - b.ln_gamma_mu, a.f,
                              a.ln_gamma_f + math.log(a.f) if a.f else 0.0, ladder)
     mag += abs(b.ln_gamma_mu) + 24.0
@@ -751,35 +747,19 @@ def _g_kernel_quadrature(delta: float, sigma: float, x: float):
     return value, 2.0 * err + 8.0 * EPS * abs(value), ok
 
 
-def _g_series(s: ShapePair, x: float):
-    """F_Z by the ascending series of G, x <= _X_SERIES_MAX.
-
-    Every route returns (value, abs error) with x^sigma / (Gamma(mu1)
-    Gamma(mu2)) inside its log scale.  A gap within a few ulps of an integer
-    (2.2 - 1.2) takes the log-series, and every other gap the paired series,
-    however near an integer.  A term past the double range would leave no
-    value: (inf, inf).
-    """
-    try:
-        return (_g_series_integer if s.route == "log" else _g_series_noninteger)(s, x)
-    except OverflowError:
-        return math.inf, math.inf
-
-
 def _g2131_eval(pair: ShapePair, x: float):
     """F_Z at kernel argument x: x^sigma G(x) / (Gamma(mu1) Gamma(mu2)).
 
-    Returns (value, abs error), the error inf where no value was reached.
-    Past _X_SERIES_MAX the value is ``_g_complement``'s 1 - S; below it, the
-    series route's.  From x = 6, where the series cancellation is marginal
-    and the CDF mass below x is non-negligible, the complement replaces a
-    series value whose error it beats.
+    One route per argument: past _X_SERIES_MAX ``_g_complement``'s 1 - S,
+    and below it the pair's series, the log-series for a gap within a few
+    ulps of an integer (2.2 - 1.2) and the paired series for every other
+    gap, however near an integer.  Every route returns (value, abs error)
+    with x^sigma / (Gamma(mu1) Gamma(mu2)) inside its log scale.  A series
+    term past the double range leaves no value: (inf, inf).
     """
     if x > _X_SERIES_MAX:
         return _g_complement(pair, x)
-    value, err = _g_series(pair, x)
-    if x >= 6.0 and err > 3e-9 * abs(value):
-        complement = _g_complement(pair, x)
-        if complement[1] < err:
-            return complement
-    return value, err
+    try:
+        return (_g_series_integer if pair.route == "log" else _g_series_noninteger)(pair, x)
+    except OverflowError:
+        return math.inf, math.inf

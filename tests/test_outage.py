@@ -113,11 +113,9 @@ def test_outage_af_convergence_flag_propagates(monkeypatch):
 
 def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
     # shapes 1.5 and 2.50005 put F_Z on the paired series at a near-integer
-    # gap; when it reaches no value (err inf) but keeps its best
-    # kernel value, the engines return the same outage, with err inf,
-    # flagged unconverged.  The route fails below argument 6 only: from 6
-    # on the kernel takes the complement 1 - S over a series without a
-    # bound, which would change the value
+    # gap; when it reaches no value (err inf) at any argument but keeps
+    # its best kernel value, the engines return the same outage, with err
+    # inf, flagged unconverged
     hop = dataclasses.replace(preset_config("rayleigh").hop1_fading, mu=1.5)
     cfg = dataclasses.replace(preset_config("rayleigh", target_rate=1.0), hop1_fading=hop,
                               hop2_fading=dataclasses.replace(hop, mu=2.50005))
@@ -126,7 +124,7 @@ def test_unconverged_fz_carries_its_value_and_error(monkeypatch):
 
     def failing(s, x):
         value, err = real(s, x)
-        return value, math.inf if x < 6.0 else err
+        return value, math.inf
 
     monkeypatch.setattr(specfun, "_g_series_noninteger", failing)
     for ref, res in zip(good, (outage_df(cfg), outage_af(cfg))):

@@ -29,7 +29,6 @@ from fdrelay.specfun import (
     _digamma_int,
     _g2131_eval,
     _g_complement,
-    _g_series,
     _kernel_tail,
 )
 
@@ -433,9 +432,11 @@ def test_preset_shape_tail_makes_one_bessel_call(monkeypatch):
 
 def test_kernel_tail_bessel_work(monkeypatch):
     # a cold K_0 / K_1 pair of tables, 2 x 32 continued fractions once per
-    # process, serves the residual and the ladder of mu 1.125 / 2.125 and
-    # the Erlang ladders of mu 1 / 1 and 2 / 2; a warm tail runs no
-    # continued fraction; nothing integrates adaptively
+    # process, serves the residual and the ladder of mu 1.125 / 2.125, the
+    # Erlang ladders of mu 1 / 1 and 2 / 2, and mu 1.7 / 2.7, whose gap
+    # misses 1 by an ulp: both its shapes reduce to one fractional part, so
+    # it takes c = 0, not orders 2.2e-16 and 1 + 2.2e-16; a warm tail runs
+    # no continued fraction; nothing integrates adaptively
     monkeypatch.setattr(specfun, "_PAIRS", {})
     adaptive = _forbid_adaptive_tail(monkeypatch)
     cf_calls = _count_cf_calls(monkeypatch)
@@ -444,10 +445,11 @@ def test_kernel_tail_bessel_work(monkeypatch):
     assert len(cf_calls) == 2 * CF_PER_TABLE
     assert sorted(specfun._K_TABLES) == [0.0, 1.0]
     for mu1, mu2, x0 in ((1.125, 2.125, 80.0), (1.0, 1.0, 50.0), (2.0, 2.0, 50.0),
-                         (2.125, 1.125, 50.0)):
+                         (2.125, 1.125, 50.0), (1.7, 2.7, 50.0)):
         value, err = _kernel_tail(shape_pair(mu1, mu2), x0)
         assert math.isfinite(err) and 0.0 < value and err <= 1e-12 * value
         assert len(cf_calls) == 2 * CF_PER_TABLE, (mu1, mu2, x0)
+    assert sorted(specfun._K_TABLES) == [0.0, 1.0]
     assert not adaptive
 
 
@@ -676,6 +678,18 @@ def test_meijer_float_noise_gap_takes_the_log_series(monkeypatch):
     assert 0.0 < g2131(2.2, 1.2, 0.5) < math.inf
 
 
+def test_series_arguments_never_reach_the_kernel_tail(monkeypatch):
+    # one route per argument: up to x = 12 the pair's series alone, even
+    # where its err is above 3e-9 of the value and the complement's is smaller
+    def forbidden(*args):
+        raise AssertionError("kernel tail called")
+
+    monkeypatch.setattr(specfun, "_kernel_tail", forbidden)
+    for mu1, mu2 in ((10.5, 10.0), (8.64, 9.01)):
+        value, err = _g2131_eval(shape_pair(mu1, mu2), 12.0)
+        assert 0.0 < value < 1.0 and math.isfinite(err), (mu1, mu2)
+
+
 # ----------------------------------------------------------------------
 # non-integer gaps: the paired series
 #
@@ -700,7 +714,7 @@ def test_near_integer_gap_matches_mpmath():
             sigma = mu_min + delta / 2.0
             pair = ShapePair(sigma - delta / 2.0, sigma + delta / 2.0)
             for x in (1e-300, 1e-200, 1e-40, 1e-30, 1e-25, 1e-20, 1e-10, 1e-3, 0.5, 3.0, 5.9):
-                value, err = _g_series(pair, x)
+                value, err = _g2131_eval(pair, x)
                 ref = cdf_reference(pair.delta, pair.sigma, x)
                 cell = (delta, mu_min, x)
                 assert math.isfinite(err), cell
@@ -774,7 +788,7 @@ def test_paired_series_grid_matches_mpmath():
                         continue
                     assert abs(pair.delta - pair.d) <= 0.5
                     for x in xs:
-                        value, err = _g_series(pair, x)
+                        value, err = _g2131_eval(pair, x)
                         ref = _paired_reference(pair.delta, pair.sigma, x)
                         cell = (pair.delta, mu_min, x)
                         assert abs(value - ref) <= err, cell
@@ -828,7 +842,7 @@ def test_near_integer_route_agrees_with_kernel_quadrature(d, off, sign, mu_min, 
     sigma = mu_min + delta / 2.0
     x = 10.0 ** log_x
     pair = ShapePair(sigma - delta / 2.0, sigma + delta / 2.0)
-    value, err = _g_series(pair, x)
+    value, err = _g2131_eval(pair, x)
     g, g_err, ref_ok = specfun._g_kernel_quadrature(pair.delta, pair.sigma, x)
     # the kernel integral is G; F_Z is G x^sigma / (Gamma(mu1) Gamma(mu2))
     with mpmath.workdps(40):
