@@ -91,8 +91,9 @@ def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
     "df": min(1/(kappa V), kappa P_S Z / (path sigma_D^2)), the smaller of
     the relay-side SNR (the source and loop-back terms both scale with the
     source power, so only kappa and V remain) and the destination SNR.
-    "af": b1 Z / (b2 V Z + b3 V + b4), bounded above by 1/(kappa V): the
-    loop-back floor survives any source power.  Outage is gamma < nu.
+    "af": Z / (kappa V Z + rho (V + 1/kappa)), rho = path sigma_R^2 / P_S,
+    bounded above by 1/(kappa V): the loop-back floor survives any source
+    power.  Outage is gamma < nu.
 
     With ``out`` (an array the shape of z and v, neither of which it may
     be) the result is written there, bit for bit the same; z and v are
@@ -102,15 +103,13 @@ def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
         t = np.divide(1.0, np.multiply(v, c.kappa, out=out), out=out)
         return np.minimum(t, c.dest_coef * z, out=out)
     if mode == "af":
-        # near the double range b1 Z and b2 V Z overflow, and beta2 = kappa
-        # P_S itself may: from b1 or kappa b1 = 2^512 on, all four are scaled
-        # by one power of two, exact in the normal range, b2 as kappa b1
-        shift = max(0, math.frexp(c.beta1)[1] + max(0, math.frexp(c.kappa)[1]) - 512)
-        b1 = math.ldexp(c.beta1, -shift)
-        b2, b3, b4 = c.kappa * b1, math.ldexp(c.beta3, -shift), math.ldexp(c.beta4, -shift)
-        t = np.multiply(np.multiply(v, b2, out=out), z, out=out)
-        t = np.add(np.add(t, b3 * v, out=out), b4, out=out)
-        return np.divide(b1 * z, t, out=out)
+        # kappa V Z in one temporary, rho (V + 1/kappa) in out; not rho V +
+        # rho / kappa: rho is inf at subnormal powers and V may be 0, where
+        # rho V is nan
+        t = np.multiply(v, c.kappa)
+        t *= z
+        t += np.multiply(np.add(v, 1.0 / c.kappa, out=out), c.rho, out=out)
+        return np.divide(z, t, out=out)
     raise DomainError(f"mode must be 'df' or 'af', got {mode!r}")
 
 

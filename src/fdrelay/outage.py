@@ -81,7 +81,7 @@ def outage_df(cfg: SystemConfig) -> OutageResult:
 def outage_af(cfg: SystemConfig) -> OutageResult:
     """Amplify-and-forward outage probability: DF plus the gap integral.
 
-    P = P_DF + Int_0^{v*} [F_Z(z(v)) - F_Z(z_D)] f_V(v) dv,  z(v) = nu (b3 v + b4) / (b1 - b2 nu v)
+    P = P_DF + Int_0^{v*} [F_Z(z(v)) - F_Z(z_D)] f_V(v) dv,  z(v) = nu rho (v + 1/kappa) / (1 - kappa nu v)
 
     exactly, as AF and DF share 1 - F_V(v*) and F_V(v*) F_Z(z_D).  z(v) rises
     with v, and z(0) >= z_D where sigma_R^2 >= sigma_D^2: there each node's
@@ -97,7 +97,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     df, c, pp, f_z_d = _df(cfg)
     nu, v_star, lbi = c.nu, c.v_star, cfg.lbi_fading
     lam3, a3, mu3 = lbi.rate, lbi.alpha, lbi.mu
-    # the least gap a node may take; sigma_R^2 from the same sum as beta3
+    # the least gap a node may take; sigma_R^2 from the same sum as rho
     sigma_r2 = cfg.noise_antenna_var + cfg.noise_conversion_var
     gap_min = 0.0 if sigma_r2 >= cfg.noise_dest_var else -math.inf
 
@@ -110,18 +110,19 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         g = value - f_z_d
         return g if g > gap_min else gap_min
 
+    # per-node constants, and the relay argument at v = 0 by the same formula
+    nu_rho, inv_kappa, kappa_nu = nu * c.rho, 1.0 / c.kappa, c.kappa * nu
+    z0 = nu_rho * inv_kappa
     if lam3 == math.inf:
         # the loop-back power is 0 in double precision: F_V(v*) is 1, and the
         # gap at v = 0, with its F_Z error, is all that remains
-        f_z0, f_z0_err = _cdf_product_meijer(pp, nu * c.beta4 / c.beta1)
+        f_z0, f_z0_err = _cdf_product_meijer(pp, z0)
         value, err = df.value + max(gap_min, f_z0 - f_z_d), df.numeric_error + f_z0_err
         return OutageResult(value=min(1.0, max(0.0, value)), numeric_error=err,
                             converged=math.isfinite(err))
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
     w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
-    # per-node constants; nu b2 v is (nu b2) v, as written below
-    b1, b3, b4, nu_b2 = c.beta1, c.beta3, c.beta4, c.beta2 * nu
     mu3_m1, ln_gamma3, two_over_a3 = mu3 - 1.0, lbi.ln_gamma_mu, 2.0 / a3
 
     def lower_integrand(w):
@@ -130,7 +131,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
             # +inf below it, weighted by the gap at v = 0; a zero gap gives 0
             if mu3 > 1.0:
                 return 0.0
-            g0 = gap(nu * b4 / b1)
+            g0 = gap(z0)
             return g0 * (math.exp(-ln_gamma3) if mu3 == 1.0 else math.inf) if g0 else 0.0
         # 1 / Gamma(mu3) inside the exp: w^{mu3-1} e^{-w} alone passes the
         # double range at w = mu3 - 1 once mu3 is above about 172
@@ -138,8 +139,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         if ln_d < EXP_UNDERFLOW:
             return 0.0
         v = (w / lam3) ** two_over_a3
-        arg = nu * (b3 * v + b4) / (b1 - nu_b2 * v)
-        return gap(arg) * math.exp(ln_d)
+        return gap(nu_rho * (v + inv_kappa) / (1.0 - kappa_nu * v)) * math.exp(ln_d)
 
     # seed panels on both the endpoint scale and the gamma-density scale;
     # the two can differ by many orders when the loop-back endpoint is far
@@ -153,10 +153,8 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
 
     def upper_integrand(u):
         v = (1.0 - u) * v_star
-        # b1 u underflows to 0 at subnormal source powers; the argument is
-        # then past every clamp and F_Z is 1
-        den = b1 * u
-        arg = nu * (b3 * v + b4) / den if den > 0.0 else math.inf
+        # 1 - kappa nu v is u itself; at u = 0 F_Z's argument is inf
+        arg = nu_rho * (v + inv_kappa) / u if u > 0.0 else math.inf
         return gap(arg) * pdf_power(lbi, v) * v_star
 
     bps_up = [1e-10, 1e-7, 1e-4, 1e-2, 0.1]

@@ -71,10 +71,7 @@ class DerivedConstants:
     kappa: float      # eh_efficiency * eta / (1 - eta)
     nu: float         # SNR threshold supporting the target rate
     dest_coef: float  # kappa P_S / (path sigma_D^2), path = d1^m1 d2^m2
-    beta1: float      # source power
-    beta2: float      # kappa * source power
-    beta3: float      # path * (antenna + conversion noise variance)
-    beta4: float      # beta3 / kappa
+    rho: float        # path sigma_R^2 / P_S, sigma_R^2 = antenna + conversion noise
 
     @property
     def v_star(self) -> float:
@@ -106,13 +103,9 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         raise DomainError(
             f"path-loss product d1^m1 d2^m2 = {path:g} must be finite and above 0 "
             f"in double precision")
-    beta3 = path * (cfg.noise_antenna_var + cfg.noise_conversion_var)
     return DerivedConstants(
         kappa=kappa,
         nu=nu,
         dest_coef=kappa * cfg.source_power / (path * cfg.noise_dest_var),
-        beta1=cfg.source_power,
-        beta2=kappa * cfg.source_power,
-        beta3=beta3,
-        beta4=beta3 / kappa,
+        rho=path * (cfg.noise_antenna_var + cfg.noise_conversion_var) / cfg.source_power,
     )

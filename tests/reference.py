@@ -2,8 +2,9 @@
 
 Neither shares code with the package's F_Z route (``_cdf_product_meijer``
 and its series and tail kernels): the density is the closed Bessel form,
-and the CDF integrates that kernel by adaptive quadrature.  The Bessel
-factor is scipy's ``kv``, so no Bessel code is shared with the package.
+and the CDF integrates that kernel by scipy's ``quad`` (QUADPACK).  The
+Bessel factor is scipy's ``kv``, so no Bessel or quadrature code is shared
+with the package.
 
 The product density carries the symmetric prefactor
 ``(lam1*lam2)**((mu1+mu2)/2)``, a convention the normalization tests enforce.
@@ -16,12 +17,13 @@ itself reports only the standard error.
 from __future__ import annotations
 
 import math
+import warnings
 
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import kv
 
 from fdrelay.errors import DomainError
 from fdrelay.fading import ProductDistParams
-from fdrelay.quadrature import QuadratureSettings, integrate_adaptive
 
 
 def pdf_product(pp: ProductDistParams, z: float) -> float:
@@ -65,8 +67,11 @@ def _cdf_product_quadrature(pp: ProductDistParams, z: float):
 
     # scales where the kernel argument passes interesting magnitudes
     bps = [c / ll for c in (1e-3, 0.0625, 1.0, 25.0, 400.0) if 0.0 < c / ll < t_max]
-    settings = QuadratureSettings(abs_tol=1e-10, rel_tol=1e-9)
-    val, err, ok = integrate_adaptive(f, 0.0, t_max, settings, breakpoints=bps)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        val, err = quad(f, 0.0, t_max, points=bps or None, epsabs=1e-10, epsrel=1e-9,
+                        limit=200)
+    ok = not any(issubclass(w.category, IntegrationWarning) for w in caught)
     return min(1.0, max(0.0, norm * val)), norm * err, ok
 
 

@@ -355,8 +355,9 @@ def test_huge_loopback_scale_is_outage(capsys):
 
 
 def test_subnormal_source_power_gives_rows(capsys):
-    # b1 u underflows to 0 in the AF upper integrand, where F_Z then clamps
-    # to 1; at this power both modes are in outage almost surely, as MC finds
+    # rho = path sigma_R^2 / P_S is inf, so F_Z's argument in the AF
+    # integrands is inf and F_Z clamps to 1; at this power both modes are in
+    # outage almost surely, as MC finds
     assert main(["--preset", "rayleigh", "--method", "both", "--samples", "10000",
                  "--power", "1e-320"]) == 0
     rows = rows_from_csv(capsys.readouterr().out)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from fdrelay import specfun
+from fdrelay import quadrature, specfun
 from fdrelay.errors import DomainError
 from fdrelay.fading import (
     AlphaMuParams,
@@ -228,12 +228,13 @@ def test_cdf_product_dual_route_spot_grid():
 
 
 def test_quadrature_route_never_calls_the_series(disable):
-    # the dual route of F_Z shares no code with the series routes: the
-    # quadrature still runs when they raise
+    # the dual route of F_Z shares no code with the series routes or the
+    # package's quadrature: it still runs when they raise
     pps = [_pp(alpha, mu1, mu2) for mu1, mu2 in ((0.5, 0.5), (1.0, 2.0), (3.5, 1.5))
            for alpha in (1.0, 2.0)]
     disable(specfun, ["_g2131_eval", "_g_series_integer", "_g_series_noninteger",
                       "_g_complement", "_kernel_tail"])
+    disable(quadrature, ["gauss_kronrod"])
     with pytest.raises(AssertionError, match="specfun"):
         _cdf_product_meijer(pps[0], 1.0)
     for pp in pps:

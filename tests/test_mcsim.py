@@ -260,16 +260,25 @@ def test_high_snr_agreement_quick():
         assert abs(est.p_hat - floor) <= 3.0 * est.stderr + 1e-3
 
 
-@pytest.mark.parametrize("power, eta, rate", [(1e308, None, 2.0), (1.7e308, 0.7, 0.3)])
-def test_af_chain_keeps_its_limit_near_the_double_range(power, eta, rate):
-    # at 1e308 W, b1 Z and b2 V Z overflowed: inf / inf gave nan and inf /
-    # finite gave inf, both counted as no outage, and AF read 0.839 at 131
-    # standard errors from 0.992, with a RuntimeWarning.  At eta 0.7, kappa
-    # is above 1 and beta2 = kappa P_S itself is inf: AF read 0.683 against 0.788
+@pytest.mark.parametrize("power, eta, rate, lbi_r_hat", [
+    pytest.param(1e308, None, 2.0, None, id="1e+308-None-2.0"),
+    pytest.param(1.7e308, 0.7, 0.3, None, id="1.7e+308-0.7-0.3"),
+    pytest.param(1e-310, None, 2.0, 1e-200, id="1e-310-None-2.0-1e-200")])
+def test_af_chain_keeps_its_limit_near_the_double_range(power, eta, rate, lbi_r_hat):
+    # at 1e308 W, P_S Z and kappa P_S V Z overflowed: inf / inf gave nan and
+    # inf / finite gave inf, both counted as no outage, and AF read 0.839 at
+    # 131 standard errors from 0.992, with a RuntimeWarning.  At eta 0.7,
+    # kappa is above 1 and kappa P_S itself is inf: AF read 0.683 against 0.788.
+    # At a subnormal power rho is inf, and with the loop-back r_hat at 1e-200
+    # V is 0, where rho V would be inf * 0 = nan: AF must read 1
     cfg = preset_config("nakagami", source_power=power, target_rate=rate)
     if eta is not None:
         cfg = dataclasses.replace(cfg, eh_time_fraction=eta)
-        assert derive_constants(cfg).beta2 == math.inf
+        assert derive_constants(cfg).kappa * cfg.source_power == math.inf
+    if lbi_r_hat is not None:
+        cfg = dataclasses.replace(
+            cfg, lbi_fading=dataclasses.replace(cfg.lbi_fading, r_hat=lbi_r_hat))
+        assert derive_constants(cfg).rho == math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = simulate_outage(cfg, "af", 100_000, 42)

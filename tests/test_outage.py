@@ -15,6 +15,15 @@ from fdrelay.relaysys import derive_constants
 import dataclasses
 
 
+def _relay_arg(cfg, v):
+    """z(v) written from the scenario's fields: the hop product at which AF's SNR is nu."""
+    c = derive_constants(cfg)
+    path = cfg.hop1_distance ** cfg.hop1_pathloss * cfg.hop2_distance ** cfg.hop2_pathloss
+    sigma_r2 = cfg.noise_antenna_var + cfg.noise_conversion_var
+    return (c.nu * path * sigma_r2 * (v + 1.0 / c.kappa)
+            / (cfg.source_power * (1.0 - c.kappa * c.nu * v)))
+
+
 def test_outage_result_validation():
     with pytest.raises(DomainError):
         OutageResult(value=1.2, numeric_error=0.0)
@@ -68,11 +77,10 @@ def test_af_at_zero_loopback_carries_the_fz_error():
     # its err counts that F_Z value's err
     cfg = _weak_loopback(preset_config("rayleigh"), 1e-200)
     assert cfg.lbi_fading.rate == math.inf
-    c = derive_constants(cfg)
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
     af = outage_af(cfg)
     assert af.converged
-    assert af.numeric_error >= _cdf_product_meijer(pp, c.nu * c.beta4 / c.beta1)[1]
+    assert af.numeric_error >= _cdf_product_meijer(pp, _relay_arg(cfg, 0.0))[1]
 
 
 def test_outage_af_saturated_threshold_is_loopback_mass():
@@ -93,8 +101,7 @@ def test_outage_af_endpoint_neighborhood_mass():
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
 
     def integrand(v):
-        arg = c.nu * (c.beta3 * v + c.beta4) / (c.beta1 - c.beta2 * c.nu * v)
-        return _cdf_product_meijer(pp, arg)[0] * pdf_power(cfg.lbi_fading, v)
+        return _cdf_product_meijer(pp, _relay_arg(cfg, v))[0] * pdf_power(cfg.lbi_fading, v)
 
     eps_v = v_star * 1e-9
     val, err = integrate.quad(integrand, v_star - eps_v, v_star, limit=200)
@@ -155,7 +162,7 @@ def test_af_lower_integrand_takes_its_limit_at_zero(monkeypatch, mu3):
     assert 0.0 <= res.value <= 1.0
     c = derive_constants(cfg)
     pp = ProductDistParams(cfg.hop1_fading, cfg.hop2_fading)
-    gap0 = (_cdf_product_meijer(pp, c.nu * c.beta4 / c.beta1)[0]
+    gap0 = (_cdf_product_meijer(pp, _relay_arg(cfg, 0.0))[0]
             - _cdf_product_meijer(pp, c.nu / c.dest_coef)[0])
     assert 0.0 < gap0 < 1.0
     # at mu3 = 1 the density's limit is 1 / Gamma(1), from ln_gamma(1) ~ 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -85,9 +86,9 @@ def test_config_validation():
 
 
 def test_relay_noise_is_sum_of_stages():
-    # beta3 = path * relay noise, with path 1 here
+    # rho = path * relay noise / P_S, with path 1 here
     cfg = make_cfg(noise_antenna_var=3e-5, noise_conversion_var=7e-5)
-    assert derive_constants(cfg).beta3 == pytest.approx(1e-4, rel=1e-15)
+    assert derive_constants(cfg).rho == pytest.approx(1e-4 / cfg.source_power, rel=1e-15)
 
 
 def test_derive_constants_examples():
@@ -98,10 +99,8 @@ def test_derive_constants_examples():
     cfg5 = preset_config("rayleigh")
     c5 = derive_constants(cfg5)
     assert c5.dest_coef == pytest.approx(16.0, rel=1e-14)  # 1 W / (625 * 1e-4)
-    assert c5.beta3 == pytest.approx(0.0625, rel=1e-14)   # 5^2 5^2 1e-4
-    assert c5.beta1 == pytest.approx(1.0)
-    assert c5.beta2 == pytest.approx(1.0)
-    assert c5.beta4 == pytest.approx(0.0625, rel=1e-14)
+    assert c5.rho == pytest.approx(0.0625, rel=1e-14)   # 5^2 5^2 1e-4 / 1 W
+    assert [f.name for f in dataclasses.fields(c5)] == ["kappa", "nu", "dest_coef", "rho"]
 
 
 def test_harvested_energy_examples():
