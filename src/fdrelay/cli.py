@@ -9,9 +9,9 @@ sorted, floats carry 17 significant digits, and the runtime_ms column is
 emitted as 0 (wall-clock timings go to stderr, where nondeterminism
 belongs).  Exit codes: 0 success, 2 configuration error, 3 numeric
 non-convergence in at least one row (rows are still emitted).  A sweep of
-more than MAX_SWEEP_POINTS points is a configuration error; a product-CDF
-kernel value that is not finite is non-convergence.  Each input is
-checked once, where it is built.
+more than MAX_SWEEP_POINTS points is a configuration error, found by the
+loop that makes its grid; a non-finite product-CDF kernel value is
+non-convergence.  Each input is checked once, where it is built.
 """
 
 from __future__ import annotations
@@ -51,24 +51,23 @@ class Sweep:
         if self.parameter not in SWEEP_PARAMETERS:
             raise ScenarioError(f"unknown sweep parameter {self.parameter!r}")
         # written so that NaN fails it
-        if not (self.step > 0.0 and self.stop >= self.start):
-            raise ScenarioError("sweep requires step > 0 and stop >= start")
-        # values() runs to half a step past stop; where step is below the
-        # spacing of doubles at the endpoints, start + i*step repeats until
-        # i*step passes that spacing, so the spacing counts as span
-        span = self.stop - self.start + math.ulp(max(abs(self.start), abs(self.stop)))
-        if not span / self.step + 0.5 < MAX_SWEEP_POINTS:
-            raise ScenarioError(f"sweep has more than {MAX_SWEEP_POINTS} points")
+        if not (0.0 < self.step < math.inf and self.stop >= self.start):
+            raise ScenarioError("sweep requires a finite step > 0 and stop >= start")
+        self.values()   # the point cap holds where the sweep is built
 
     def values(self):
-        out = []
-        v = self.start
         # endpoints inclusive within half a step; start + i*step, so no
-        # rounding error accumulates along the grid
-        while v <= self.stop + 0.5 * self.step:
+        # rounding error accumulates along the grid, and v0 is start itself
+        # (-0.0 + 0*step is +0.0).  The loop is the point cap, so a grid
+        # that stalls (an inf endpoint, a step far below the spacing of
+        # doubles, an overflowing stop + step/2) ends there
+        out = []
+        for i in range(MAX_SWEEP_POINTS + 1):
+            v = self.start + i * self.step if i else self.start
+            if not v <= self.stop + 0.5 * self.step:
+                return out
             out.append(min(v, self.stop))
-            v = self.start + len(out) * self.step
-        return out
+        raise ScenarioError(f"sweep has more than {MAX_SWEEP_POINTS} points")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -202,13 +201,10 @@ def emit(rows, fmt: str, path: str | None) -> None:
 
 
 def _parse_sweep_flag(raw: str, parameter: str) -> Sweep:
-    parts = raw.split(":")
-    if len(parts) != 3:
-        raise ScenarioError(f"sweep must be start:stop:step, got {raw!r}")
     try:
-        a, b, s = (float(p) for p in parts)
+        a, b, s = (float(p) for p in raw.split(":"))
     except ValueError:
-        raise ScenarioError(f"sweep values must be numeric, got {raw!r}") from None
+        raise ScenarioError(f"sweep must be numeric start:stop:step, got {raw!r}") from None
     return Sweep(parameter=parameter, start=a, stop=b, step=s)
 
 

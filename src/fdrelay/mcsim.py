@@ -2,9 +2,10 @@
 
 The simulator draws channel powers through the exact gamma-power transform,
 pushes them through the package's one SNR chain (``gamma_eff``), and
-counts threshold crossings.  It is the independent validation leg for
-every closed form in the package: nothing here touches the incomplete
-gamma, Bessel, or Meijer code paths.
+counts threshold crossings; an inf on the way is a limit and counts, a nan
+(Z = inf * 0 at tiny alpha) raises DomainError.  It is the independent
+validation leg for every closed form in the package: nothing here
+touches the incomplete gamma, Bessel, or Meijer code paths.
 
 Reproducibility contract: draw i of branch j (hop 1, hop 2, loop-back) is
 draw i mod ``_BLOCK`` of block i // ``_BLOCK``, and block b of branch j
@@ -192,22 +193,26 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
         # so not resident, otherwise) take the channel powers
         buf = np.empty((6, min(n, _BLOCK)))
         try:
-            for shapes, key, block, m, by_fading in iter(next_job, None):
-                g, out = buf[:3, :m], buf[3, :m]
-                _unit_gammas(shapes, key, seed, block, g)
-                for t, ((f1, f2, f3), by_chain) in enumerate(by_fading.items()):
-                    # the last fading triple may overwrite the draws
-                    dst = g if t == len(by_fading) - 1 else (buf[4, :m], out, buf[5, :m])
-                    z = _power(g[0], f1, dst[0])
-                    z *= _power(g[1], f2, dst[1])
-                    v = _power(g[2], f3, dst[2])
-                    for chain, cells in by_chain.items():
-                        for k, mode in enumerate(modes):
-                            gamma = gamma_eff(mode, z, v, chain, out=out)
-                            for i in cells:
-                                counts[i, k] += np.count_nonzero(gamma < consts[i].nu)
-        except BaseException:
+            # in each thread: numpy's error state does not carry into threads
+            with np.errstate(divide="ignore", over="ignore", invalid="raise"):
+                for shapes, key, block, m, by_fading in iter(next_job, None):
+                    g, out = buf[:3, :m], buf[3, :m]
+                    _unit_gammas(shapes, key, seed, block, g)
+                    for t, ((f1, f2, f3), by_chain) in enumerate(by_fading.items()):
+                        # the last fading triple may overwrite the draws
+                        dst = g if t == len(by_fading) - 1 else (buf[4, :m], out, buf[5, :m])
+                        z = _power(g[0], f1, dst[0])
+                        z *= _power(g[1], f2, dst[1])
+                        v = _power(g[2], f3, dst[2])
+                        for chain, cells in by_chain.items():
+                            for k, mode in enumerate(modes):
+                                gamma = gamma_eff(mode, z, v, chain, out=out)
+                                for i in cells:
+                                    counts[i, k] += np.count_nonzero(gamma < consts[i].nu)
+        except BaseException as exc:
             jobs.clear()   # the other threads stop after their current block
+            if isinstance(exc, FloatingPointError):
+                raise DomainError(f"Monte Carlo draws leave the double range ({exc})") from None
             raise
         return counts
 

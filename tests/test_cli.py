@@ -171,16 +171,38 @@ def test_sweep_grammar():
 
 def test_sweep_over_the_point_cap_is_rejected(tmp_path):
     # a step far below the span, or below the spacing of doubles at the
-    # endpoints, would have values() allocate until memory runs out
+    # endpoints, makes a grid past the cap, which the sweep rejects where it
+    # is built
     for raw in ("0.5:6:1e-9", "1e20:1e20:1e-9", "0:10000:1", "-inf:0:1"):
         with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
             _parse_sweep_flag(raw, "target_rate")
     assert len(_parse_sweep_flag("1:10000:1", "source_power").values()) == MAX_SWEEP_POINTS
+    # rounding puts this grid's last point within half a step of stop: it has
+    # exactly the cap's points, and the cap counts the grid itself
+    at_cap = Sweep("target_rate", 633424.9161482418, 633424.9186031566, 2.455037533205171e-07)
+    assert len(at_cap.values()) == MAX_SWEEP_POINTS
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"id": "s", "config": GOOD_CONFIG, "sweep": {
         "parameter": "target_rate", "start": 0.0, "stop": 1.0, "step": 1e-4}}))
     with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
         load_scenario(str(path))
+
+
+def test_sweep_that_never_passes_its_stop_is_rejected(tmp_path, capsys):
+    # start + i*step never passes stop + step/2 where the step is inf, or
+    # where stop + step/2 overflows (1.5e308 + 5e307): both sweeps are
+    # rejected where they are built, and the CLI exits 2 at once
+    with pytest.raises(ScenarioError, match="step > 0 and stop >= start"):
+        Sweep("target_rate", 1.0, 2.0, math.inf)
+    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+        Sweep("source_power", 1.0, 1.5e308, 1e308)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"id": "s", "config": GOOD_CONFIG, "sweep": {
+        "parameter": "source_power", "start": 1.0, "stop": 1.5e308, "step": 1e308}}))
+    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+        load_scenario(str(path))
+    code = main(["--preset", "rayleigh", "--method", "analytic", "--rate-sweep", "1:2:inf"])
+    _assert_config_error(code, capsys, "step > 0")
 
 
 def test_apply_sweep_value_touches_all_branches():
@@ -352,6 +374,30 @@ def test_huge_loopback_scale_is_outage(capsys):
     rows = rows_from_csv(capsys.readouterr().out)
     assert [r.mode for r in rows] == ["af", "df"]
     assert [r.outage for r in rows] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("mode, power, row", [
+    ("df", "1", "0.35149999999999998,0.0047743873952581601"),
+    ("af", "1e308", "0,0"),
+], ids=["df-1W", "af-1e308W"])
+def test_mc_zero_loopback_power_takes_its_limits(capsys, mode, power, row):
+    # r_hat^2 underflows, so V = 0: DF's relay SNR 1/(kappa V) divides by
+    # zero, and at 1e308 W AF's Z / (rho / kappa) overflows.  inf is the
+    # right limit of both; the rows stand, with no RuntimeWarning
+    assert main(["--preset", "rayleigh", "--method", "mc", "--samples", "10000",
+                 "--rate", "1", "--lbi-r-hat", "1e-200", "--mode", mode,
+                 "--power", power]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == f"rayleigh,1,{mode},mc,{row},10000,42,0"
+    assert "Warning" not in err
+
+
+def test_mc_draws_past_the_double_range_exit_2(capsys):
+    # at alpha 1e-300 one hop power overflows to inf and the other underflows
+    # to 0, so Z = inf * 0 is nan: a draw with no SNR, not a draw out of outage
+    code = main(["--preset", "rayleigh", "--method", "mc", "--samples", "10000",
+                 "--alpha-sweep", "1e-300:1e-300:1"])
+    _assert_config_error(code, capsys, "double range")
 
 
 def test_subnormal_source_power_gives_rows(capsys):
