@@ -9,9 +9,9 @@ sorted, floats carry 17 significant digits, and the runtime_ms column is
 emitted as 0 (wall-clock timings go to stderr, where nondeterminism
 belongs).  Exit codes: 0 success, 2 configuration error, 3 numeric
 non-convergence in at least one row (rows are still emitted).  A sweep of
-more than MAX_SWEEP_POINTS points is a configuration error, found by the
-loop that makes its grid; a non-finite product-CDF kernel value is
-non-convergence.  Each input is checked once, where it is built.
+more than MAX_SWEEP_POINTS points, or with a repeated point, is a
+configuration error, found by the loop that makes its grid; a non-finite F_Z
+kernel value is non-convergence.  Each input is checked once, where it is built.
 """
 
 from __future__ import annotations
@@ -58,15 +58,19 @@ class Sweep:
     def values(self):
         # endpoints inclusive within half a step; start + i*step, so no
         # rounding error accumulates along the grid, and v0 is start itself
-        # (-0.0 + 0*step is +0.0).  The loop is the point cap, so a grid
-        # that stalls (an inf endpoint, a step far below the spacing of
-        # doubles, an overflowing stop + step/2) ends there
+        # (-0.0 + 0*step is +0.0).  Each point must exceed the one before:
+        # a step below the spacing of doubles, an inf start, or a stop +
+        # step/2 that overflows (stop then taken twice) would repeat one.
+        # The loop is the point cap, so no grid runs past it
         out = []
         for i in range(MAX_SWEEP_POINTS + 1):
             v = self.start + i * self.step if i else self.start
             if not v <= self.stop + 0.5 * self.step:
                 return out
-            out.append(min(v, self.stop))
+            v = min(v, self.stop)
+            if out and not v > out[-1]:
+                raise ScenarioError(f"sweep step {self.step!r} repeats the grid point {v!r}")
+            out.append(v)
         raise ScenarioError(f"sweep has more than {MAX_SWEEP_POINTS} points")
 
 
@@ -256,6 +260,7 @@ _METHODS = {"analytic": ("analytic",), "mc": ("mc",), "high-snr": ("high_snr",),
             "both": ("analytic", "mc")}
 
 
+@functools.cache   # parsing leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="fdrelay",

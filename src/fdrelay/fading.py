@@ -88,6 +88,7 @@ class ProductDistParams:
     hop1: AlphaMuParams
     hop2: AlphaMuParams
     lam12: float = field(init=False)    # lam1 * lam2
+    half_alpha: float = field(init=False, repr=False, compare=False)   # alpha / 2 of both hops
     shapes: ShapePair = field(init=False, repr=False, compare=False)  # the kernel's per-pair state
 
     def __post_init__(self):
@@ -97,6 +98,7 @@ class ProductDistParams:
                 f"{self.hop1.alpha} and {self.hop2.alpha}")
         object.__setattr__(self, "shapes", shape_pair(self.hop1.mu, self.hop2.mu))
         object.__setattr__(self, "lam12", self.hop1.rate * self.hop2.rate)
+        object.__setattr__(self, "half_alpha", self.hop1.half_alpha)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +169,7 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
     at, and F_Z is at most its value at max(lam12, 1) times that double.
     """
     try:
-        y = z ** pp.hop1.half_alpha
+        y = z ** pp.half_alpha
     except OverflowError:   # z^{alpha/2} past the double range, where F_Z is exactly 1
         y = math.inf
     lam12 = pp.lam12

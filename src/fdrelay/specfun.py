@@ -9,9 +9,9 @@ cross-check in the test suite:
 * ``bessel_k``         modified Bessel function of the second kind for real
                        order, the tests' reference: an integral by adaptive
                        quadrature.  The engines read K off Chebyshev tables
-                       of orders in [0, 1.5] (``_k_table``), fitted to
-                       Steed's continued fraction (``_bessel_k_scaled``) on
-                       each order's first use and shared by every pair.
+                       of orders in [0, 1.5] (``_k_table``, in Clenshaw order)
+                       fitted to Steed's continued fraction (``_bessel_k_scaled``)
+                       on each order's first use and shared by every pair.
 * ``_g2131_eval``      the one Meijer G instance needed here: the kernel that
                        closes the CDF F_Z of a product of two gamma-power
                        variates, returned as F_Z itself.  Evaluated by its
@@ -324,6 +324,36 @@ def _ln_gamma_ratio(e: float) -> float:
     return -2.0 * e * (EULER_GAMMA + e2 * total)
 
 
+def _series_weights(s: ShapePair, x: float):
+    """(``ShapePair.weights`` grown to 16 terms past kd, kd), kd the last k <= k_decay."""
+    # k > kd is k > k_decay = 2 sqrt(x) + 4, past which the term ratio is < 1,
+    # compared in ints; kd is the series' cap, 600, where no k < 600 exceeds
+    # k_decay.  Every series loop on the benchmark plans stops within 13 terms
+    # of kd; a loop that reaches the last weight grows them to the cap and reads on
+    k_decay = 2.0 * math.sqrt(x) + 4.0
+    kd = int(k_decay) if k_decay < 600.0 else 600
+    weights = s.weights
+    if len(weights) < kd + 16:
+        sigma, delta, d = s.sigma, s.delta, s.d
+        for j in range(len(weights), min(kd + 16, 600)):
+            if s.route == "log":
+                c = sigma + j + d / 2.0
+                weights.append((_digamma_int(j + 1) + _digamma_int(d + j + 1), 1.0 / c, c,
+                                float((j + 1) * (d + j + 1))))
+                continue
+            # K_j and its roundoff: one ulp per log1p and partial sum of the
+            # one-signed q, A's budget, and the atanh's and K_j's own
+            e, a = delta - d, s.head[3]
+            q = (weights[-1][4] + math.log1p(e / (j + d)) - math.log1p(-e / j) if j
+                 else math.fsum(math.log1p(e / i) for i in range(1, d + 1)))
+            at = 2.0 * math.atanh(e / (2.0 * (sigma + 0.5 * d + j)))
+            kj = a + q + at
+            weights.append((sigma + delta / 2.0 + j, float((j + 1) * (j + 1 + delta)), kj,
+                            (d + 2 * j + 1) * abs(q) + (_LN_GAMMA_RATIO_ERR + 2.0) * abs(a)
+                            + 4.0 * abs(at) + abs(kj), q))
+    return weights, kd
+
+
 def _g_series_noninteger(s: ShapePair, x: float):
     """F_Z by the ascending series of G at a non-integer gap delta = d + e, |e| <= 1/2.
 
@@ -353,39 +383,32 @@ def _g_series_noninteger(s: ShapePair, x: float):
                   51.0 + 2.0 * (abs(ln_sin) + abs(lg1)) + (1.0 + delta) * math.log(2.0 + delta),
                   # two ln Gamma per pole, by log-convexity each below |lg| + 1/4
                   95.0 + 2.0 * abs(lg))
-    ln_minus, sign, ln_plus, a, poles, u_pairs, u_poles = s.head
+    ln_minus, sign, ln_plus, _, poles, u_pairs, u_poles = s.head   # A is in the weights
     lnx = math.log(x)
     half = 0.5 * delta * lnx
     l1, l2 = ln_minus + half, ln_plus - half
     top = max(l1, l2)
     pre_pairs = -sign * math.exp(l1 - top)
-    poles, mag_poles = _pole_sum(poles, lnx, top)
+    poles, mag_poles = _pole_sum(poles, lnx, top) if poles else (0.0, 0.0)
     elx = e * lnx
     lx_err = 2.0 * abs(elx)
     pairs = mag_pairs = d_err = 0.0
-    k_decay = 2.0 * math.sqrt(x) + 4.0  # past this the term ratio is < 1
-    weights = s.weights
+    weights, kd = _series_weights(s, x)
     term = 1.0
-    for j in range(600):
-        if j == len(weights):
-            # K_j and its roundoff: one ulp per log1p and partial sum of the
-            # one-signed q, A's budget, and the atanh's and K_j's own
-            q = (weights[-1][4] + math.log1p(e / (j + d)) - math.log1p(-e / j) if j
-                 else math.fsum(math.log1p(e / i) for i in range(1, d + 1)))
-            at = 2.0 * math.atanh(e / (2.0 * (sigma + 0.5 * d + j)))
-            kj = a + q + at
-            weights.append((sigma + delta / 2.0 + j, float((j + 1) * (j + 1 + delta)), kj,
-                            (d + 2 * j + 1) * abs(q) + (_LN_GAMMA_RATIO_ERR + 2.0) * abs(a)
-                            + 4.0 * abs(at) + abs(kj), q))
-        cp, kd_next, kj, k_err, _ = weights[j]
+    for j, (cp, kd_next, kj, k_err, _) in enumerate(weights):
         t = term / cp
         em = math.expm1(kj - elx)
         w = t * em
         pairs += w
-        mag_pairs = w if w > mag_pairs else -w if -w > mag_pairs else mag_pairs
+        size = abs(w)
+        if size > mag_pairs:
+            mag_pairs = size
         d_err += t * (em + 1.0) * (k_err + lx_err)   # t > 0
-        if j > k_decay and abs(w * pre_pairs) < abs(poles + pre_pairs * pairs) * EPS:
-            break
+        if j > kd:
+            if abs(w * pre_pairs) < abs(poles + pre_pairs * pairs) * EPS:
+                break
+            if j + 1 == len(weights):   # short of the cap: the loop reads on
+                _series_weights(s, math.inf)
         term *= x / kd_next   # the step to term j + 1
     value = poles + pre_pairs * pairs
     mag_pairs *= abs(pre_pairs)
@@ -415,21 +438,20 @@ def _g_series_integer(s: ShapePair, x: float):
     # the scale is the main term's or pole 0's: no pole exceeds pole 0 by more
     # than sum_j x^j / j!^2 < e^{2 sqrt x}, so no term leaves the double range
     top = max(ln_main, poles[0][1] + poles[0][2] * lnx) if poles else ln_main
-    total, mag = _pole_sum(poles, lnx, top)
+    total, mag = _pole_sum(poles, lnx, top) if poles else (0.0, 0.0)
     term = (-1.0 if d % 2 else 1.0) * math.exp(ln_main - top)
-    k_decay = 2.0 * math.sqrt(x) + 4.0
-    weights = s.weights
-    for k in range(600):
-        if k == len(weights):
-            c = s.sigma + k + d / 2.0
-            weights.append((_digamma_int(k + 1) + _digamma_int(d + k + 1), 1.0 / c, c,
-                            float((k + 1) * (d + k + 1))))
-        psi, inv_c, c, kd_next = weights[k]
+    weights, kd = _series_weights(s, x)
+    for k, (psi, inv_c, c, kd_next) in enumerate(weights):
         contrib = term * (psi - lnx + inv_c) / c
         total += contrib
-        mag = contrib if contrib > mag else -contrib if -contrib > mag else mag
-        if k > k_decay and abs(contrib) < abs(total) * EPS:
-            break
+        size = abs(contrib)
+        if size > mag:
+            mag = size
+        if k > kd:
+            if size < abs(total) * EPS:
+                break
+            if k + 1 == len(weights):   # short of the cap: the loop reads on
+                _series_weights(s, math.inf)
         term *= x / kd_next   # the step to term k + 1
     return _scaled(s, top, lnx, total, (32.0 + 2.0 * k) * (mag + abs(total)))
 
@@ -480,7 +502,7 @@ _RESIDUAL_RULE_ERR = 1e-13
 
 # the engines' K tables: their terms, their variable y = _K_TABLE_SCALE / t - 1
 # = 2u - 1 with u = 2 sqrt(6) / t, which maps the tail's t in [2 sqrt(6), inf)
-# onto y in (-1, 1], and their memo, order -> (coefficients, bound), at most
+# onto y in (-1, 1], and their memo, order -> (series, bound), at most
 # _K_TABLES_MAX orders
 _K_TABLE_TERMS = 16
 _K_TABLE_T_MIN = 2.0 * math.sqrt(6.0)
@@ -489,13 +511,13 @@ _K_TABLES: dict = {}
 _K_TABLES_MAX = 256
 
 
-def _clenshaw(coeffs, y: float) -> float:
-    """sum_j coeffs[j] T_j(y) by Clenshaw's recurrence."""
+def _clenshaw(table, y: float) -> float:
+    """sum_j c_j T_j(y) by Clenshaw's recurrence, for a table (c_0, (c_{n-1}, .., c_1))."""
     b1 = b2 = 0.0
     y2 = y + y
-    for a in coeffs[:0:-1]:
+    for a in table[1]:
         b1, b2 = y2 * b1 - b2 + a, b1
-    return y * b1 - b2 + coeffs[0]
+    return y * b1 - b2 + table[0]
 
 
 def _k_table(nu: float):
@@ -512,7 +534,7 @@ def _k_table(nu: float):
     (measured below 5 EPS against mpmath).  A table depends on its order
     alone: it is built on the order's first use, from 2 n continued
     fractions, and kept in _K_TABLES for every shape pair, the oldest order
-    dropped first.  Returns (coefficients, bound).
+    dropped first.  Returns (series, bound), the series in ``_clenshaw``'s order.
     """
     table = _K_TABLES.get(nu)
     if table is not None:
@@ -527,15 +549,16 @@ def _k_table(nu: float):
     coeffs = [2.0 / n * math.fsum(v * math.cos(math.pi * j * (k + 0.5) / n)
                                   for k, v in enumerate(values)) for j in range(n)]
     coeffs[0] *= 0.5
+    series = (coeffs[0], tuple(coeffs[:0:-1]))   # in the order _clenshaw takes them
     deviation = 0.0
     for k in range(n):
         y = math.cos(math.pi * k / n)
         ref = g(y)
-        deviation = max(deviation, abs(_clenshaw(coeffs, y) - ref) / ref)
+        deviation = max(deviation, abs(_clenshaw(series, y) - ref) / ref)
     trailing = (abs(coeffs[-1]) + abs(coeffs[-2])) / min(values)
     if len(_K_TABLES) >= _K_TABLES_MAX:
         del _K_TABLES[next(iter(_K_TABLES))]   # the oldest
-    table = _K_TABLES[nu] = (coeffs, 2.0 * deviation + trailing + 8.0 * EPS)
+    table = _K_TABLES[nu] = (series, 2.0 * deviation + trailing + 8.0 * EPS)
     return table
 
 
@@ -585,8 +608,10 @@ class ShapePair:
     # (mu1 + mu2) / 2.  The series route is chosen once, as ``_g2131_eval``
     # documents; ``d`` is the integer gap of the log-series, and the nearest
     # integer to the gap for the paired series.  The route's terms that do
-    # not depend on x are built on first use, its per-k weights only as far
-    # as k reaches.
+    # not depend on x are built on first use, its per-k weights 16 terms past
+    # where the terms start to decay, further only as far as k reaches
+    # (``_series_weights``), so that each series loop iterates a built list.
+    # The complement's x-free terms are built with the pair (``tail``).
     def __init__(self, mu1: float, mu2: float):
         self.delta = delta = abs(mu1 - mu2)
         self.sigma = sigma = 0.5 * (mu1 + mu2)
@@ -606,7 +631,19 @@ class ShapePair:
             r2 = r1._replace(mu=r2.mu, n=r1.n + d, ln_gamma_mu=r2.ln_gamma_mu)
         self.ln_norm = r1.ln_gamma_mu + r2.ln_gamma_mu   # ln Gamma(mu1) + ln Gamma(mu2)
         # reduced first: an integer shape if any, else the smaller f
-        self.a, self.b = (r1, r2) if (r1.f, r1.n) <= (r2.f, r2.n) else (r2, r1)
+        self.a, self.b = a, b = (r1, r2) if (r1.f, r1.n) <= (r2.f, r2.n) else (r2, r1)
+        # _kernel_tail's terms that do not depend on x0, in its order: c, the up
+        # ladder's length (0 for none), the down ladder's order and length, the
+        # first sum's length, exponent, ln Gamma(mu_b), f and ln Gamma(f_a + 1),
+        # the budgets of its magnitude and of the terms' error, and for two
+        # non-integer shapes (a.f > 0, so b.f > 0) the second sum's and the residual's
+        c, p = b.f - a.f, a.f + b.f - 1.0
+        self.tail = (c, b.n + 1 if a.n or b.n else 0, 1.0 - c, max(a.n - b.n - 1, 0), a.n,
+                     b.mu + a.f, b.ln_gamma_mu, a.f, a.ln_gamma_f + math.log(a.f) if a.f else 0.0,
+                     abs(b.ln_gamma_mu) + 24.0, 16.0 + 4.0 * (a.mu + b.mu),
+                     (a.f + b.f, a.ln_gamma_f, b.f, b.ln_gamma_f + math.log(b.f), b.n,
+                      abs(a.ln_gamma_f) + abs(b.ln_gamma_f),
+                      (1.0 - p) * _LN2 - a.ln_gamma_f - b.ln_gamma_f, p - 0.5) if a.f else None)
         self.clamp = None   # set by the first fading.product_arg_clamp search
 
 
@@ -679,37 +716,32 @@ def _kernel_tail(pair: ShapePair, x0: float):
     table bounds on the sums, and the rule's and the table's bounds on the
     residual.  Returns (S, abs error).
     """
-    a, b = pair.a, pair.b
+    c, n_up, c_down, n_down, n_a, e_a, ln_b, f_a, g_a, u_a, budget, residual = pair.tail
     t0 = 2.0 * math.sqrt(x0)
     half_ln = 0.5 * math.log(x0)
-    c = b.f - a.f
     # the first sum's n_a orders c + n_b - k: down the ladder at c, past 0 up the one at 1 - c
-    up, up_err = _k_ladder(c, t0, b.n + 1) if a.n or b.n else ([], 0.0)
-    down, down_err = _k_ladder(1.0 - c, t0, a.n - b.n - 1) if a.n > b.n + 1 else ([], 0.0)
-    ladder = (up[::-1] + down)[:a.n]
-    first, mag = _bessel_sum(b.mu + a.f, half_ln, -t0 - b.ln_gamma_mu, a.f,
-                             a.ln_gamma_f + math.log(a.f) if a.f else 0.0, ladder)
-    mag += abs(b.ln_gamma_mu) + 24.0
+    up, up_err = _k_ladder(c, t0, n_up) if n_up else ([], 0.0)
+    down, down_err = _k_ladder(c_down, t0, n_down) if n_down else ([], 0.0)
+    ladder = (up[::-1] + down)[:n_a]
+    first, mag = _bessel_sum(e_a, half_ln, -t0 - ln_b, f_a, g_a, ladder)
+    mag += u_a
     ladder_err = max(up_err, down_err)
-    if not a.f:
+    if residual is None:
         value = 2.0 * first
-        return value, ((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS + ladder_err) * value
-    lg = abs(a.ln_gamma_f) + abs(b.ln_gamma_f)
-    second, mag_b = _bessel_sum(a.f + b.f, half_ln, -t0 - a.ln_gamma_f, b.f,
-                                b.ln_gamma_f + math.log(b.f), up[:b.n])
-    mag = max(mag + abs(a.ln_gamma_f) + 24.0, mag_b + lg + 48.0)
-    p = a.f + b.f - 1.0
-    ln_pre = (1.0 - p) * _LN2 - a.ln_gamma_f - b.ln_gamma_f - t0
-    coeffs, table_err = _k_table(c)
-    q = p - 0.5   # t^p e^t K_c(t) = t^q g
+        return value, ((budget + 2.0 * mag) * EPS + ladder_err) * value
+    e_b, ln_a, f_b, g_b, n_b, lg, ln_pre, q = residual   # t^p e^t K_c(t) = t^q g, q = p - 1/2
+    second, mag_b = _bessel_sum(e_b, half_ln, -t0 - ln_a, f_b, g_b, up[:n_b])
+    mag = max(mag + abs(ln_a) + 24.0, mag_b + lg + 48.0)
+    ln_pre -= t0
+    table, table_err = _k_table(c)
     nodes, weights = _LAGUERRE_20
     res = 0.0
     for s, w in zip(nodes, weights):
         t = t0 + s
-        res += w * math.exp(q * math.log(t) + ln_pre) * _clenshaw(coeffs, _K_TABLE_SCALE / t - 1.0)
+        res += w * math.exp(q * math.log(t) + ln_pre) * _clenshaw(table, _K_TABLE_SCALE / t - 1.0)
     mag_res = abs(q) * math.log(t0 + nodes[-1]) + abs(ln_pre) + lg + 48.0
     sums = 2.0 * (first + second)
-    err = (((16.0 + 4.0 * (a.mu + b.mu) + 2.0 * mag) * EPS + ladder_err) * sums
+    err = (((budget + 2.0 * mag) * EPS + ladder_err) * sums
            + (_RESIDUAL_RULE_ERR + table_err + (40.0 + 2.0 * mag_res) * EPS) * res)
     return sums + res, err
 

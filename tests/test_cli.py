@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 import shlex
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from fdrelay.cli import (
     Scenario,
     Sweep,
     apply_sweep_value,
+    build_parser,
     emit,
     load_scenario,
     main,
@@ -170,11 +172,14 @@ def test_sweep_grammar():
 
 
 def test_sweep_over_the_point_cap_is_rejected(tmp_path):
-    # a step far below the span, or below the spacing of doubles at the
-    # endpoints, makes a grid past the cap, which the sweep rejects where it
-    # is built
-    for raw in ("0.5:6:1e-9", "1e20:1e20:1e-9", "0:10000:1", "-inf:0:1"):
+    # a step far below the span makes a grid past the cap, which the sweep
+    # rejects where it is built; a step below the spacing of doubles at the
+    # endpoints, or an inf start, repeats a point first, and is rejected so
+    for raw in ("0.5:6:1e-9", "0:10000:1"):
         with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+            _parse_sweep_flag(raw, "target_rate")
+    for raw, point in (("1e20:1e20:1e-9", "1e[+]20$"), ("-inf:0:1", "-inf$")):
+        with pytest.raises(ScenarioError, match="repeats the grid point " + point):
             _parse_sweep_flag(raw, "target_rate")
     assert len(_parse_sweep_flag("1:10000:1", "source_power").values()) == MAX_SWEEP_POINTS
     # rounding puts this grid's last point within half a step of stop: it has
@@ -190,19 +195,69 @@ def test_sweep_over_the_point_cap_is_rejected(tmp_path):
 
 def test_sweep_that_never_passes_its_stop_is_rejected(tmp_path, capsys):
     # start + i*step never passes stop + step/2 where the step is inf, or
-    # where stop + step/2 overflows (1.5e308 + 5e307): both sweeps are
-    # rejected where they are built, and the CLI exits 2 at once
+    # where stop + step/2 overflows (1.5e308 + 5e307), and then takes stop
+    # twice: both sweeps are rejected where they are built, and the CLI
+    # exits 2 at once
     with pytest.raises(ScenarioError, match="step > 0 and stop >= start"):
         Sweep("target_rate", 1.0, 2.0, math.inf)
-    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+    with pytest.raises(ScenarioError, match="step 1e[+]308 repeats the grid point 1.5e[+]308$"):
         Sweep("source_power", 1.0, 1.5e308, 1e308)
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"id": "s", "config": GOOD_CONFIG, "sweep": {
         "parameter": "source_power", "start": 1.0, "stop": 1.5e308, "step": 1e308}}))
-    with pytest.raises(ScenarioError, match=f"more than {MAX_SWEEP_POINTS} points"):
+    with pytest.raises(ScenarioError, match="step 1e[+]308 repeats the grid point 1.5e[+]308$"):
         load_scenario(str(path))
     code = main(["--preset", "rayleigh", "--method", "analytic", "--rate-sweep", "1:2:inf"])
     _assert_config_error(code, capsys, "step > 0")
+
+
+@pytest.mark.parametrize("raw, step, point", [
+    # 1e20 + i * 5461.33 rounds to 1e20 twice, then to 1e20 + 2^14 three times
+    ("1e20:1.0000000000000002e20:5461.333333333333", "5461.333333333333", "1e+20"),
+    # start = stop and a step below half the spacing of doubles there: the
+    # grid was 5,289 copies of start
+    ("1.8812200609747742e-166:1.8812200609747742e-166:2.8479420244402443e-186",
+     "2.8479420244402443e-186", "1.8812200609747742e-166"),
+])
+def test_sweep_that_repeats_a_point_exits_2(raw, step, point, capsys):
+    # a step below the spacing of doubles computed the same row more than
+    # once; such a grid is a configuration error, named by its step
+    message = f"sweep step {step} repeats the grid point {point}"
+    with pytest.raises(ScenarioError, match=re.escape(message) + "$"):
+        _parse_sweep_flag(raw, "source_power")
+    code = main(["--preset", "rayleigh", "--method", "high-snr", "--mode", "df",
+                 "--power-sweep", raw])
+    _assert_config_error(code, capsys, message)
+
+
+def test_sweep_points_strictly_increase_on_a_plain_grid(capsys):
+    # the same 12 rates, one row each, from the flag through the CLI
+    assert _parse_sweep_flag("0.5:6:0.5", "target_rate").values() == [
+        0.5 * (i + 1) for i in range(12)]
+    assert main(["--preset", "rayleigh", "--method", "high-snr", "--mode", "df",
+                 "--rate-sweep", "0.5:6:0.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [0.5 * (i + 1) for i in range(12)]
+
+
+def test_one_parser_serves_every_main_call(capsys):
+    # the parser is built once per process: a rejected flag between two
+    # runs leaves nothing behind, so a run repeated after them prints the
+    # same bytes
+    run_a = ["--preset", "nakagami", "--method", "analytic", "--mode", "af", "--rate", "2"]
+    run_b = ["--preset", "weibull", "--method", "high-snr", "--rate-sweep", "1:3:1",
+             "--format", "json", "--seed", "7"]
+    assert main(run_a) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["--preset", "rayleigh", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert main(run_b) == 0
+    assert capsys.readouterr().out.startswith("[")
+    assert main(run_a) == 0
+    again = capsys.readouterr().out
+    assert again == first and first.startswith(CSV_HEADER)
+    assert build_parser() is build_parser()
 
 
 def test_apply_sweep_value_touches_all_branches():

@@ -3,9 +3,10 @@
 ``specfun.shape_pair`` keeps one state per (mu1, mu2): the series route,
 ln Gamma(mu1) + ln Gamma(mu2), the route's x-free terms (the log-series'
 log-factorials, or the paired series' ln |Gamma(-gap)|, ln Gamma(gap) and
-ln Gamma(1+e) - ln Gamma(1-e)) and its per-term weights grown as far as k
-has reached, the residual's Bessel K table, and the clamp.  Every F_Z
-value, error and flag must be the same whichever memo the call meets.
+ln Gamma(1+e) - ln Gamma(1-e)) and its per-term weights, grown ahead of k
+and past that as far as k has reached, the complement's x-free terms, and
+the clamp; the K tables sit in their own memo.  Every F_Z value, error and
+flag must be the same whichever memo the call meets.
 """
 
 import dataclasses
@@ -104,6 +105,28 @@ def test_residual_k_table_moves_no_value():
         specfun._K_TABLES.clear()
         fn(shape_pair(2.3, 3.8), 50.0)                           # the same orders
         assert fn(shape_pair(1.3, 1.8), 50.0) == fresh, fn.__name__
+
+
+def test_series_weights_grown_inside_the_loop_keep_every_bit():
+    # the series loops iterate weights built 16 terms past where the terms
+    # start to decay; at x = 100 and 1000, outside the routes' range, they
+    # read past those and grow them to the 600-term cap on the way.  Each
+    # value is the one with all 600 weights built first, or grown by
+    # smaller arguments first
+    xs = (100.0, 1000.0, 1e-3, 5.0, 100.0)
+    for shapes in ((1.0, 3.0), (2.0, 2.0), (1.3, 3.8), (1.462, 1.032)):
+        series = (specfun._g_series_integer if shape_pair(*shapes).route == "log"
+                  else specfun._g_series_noninteger)
+        grown = [series(specfun.ShapePair(*shapes), x) for x in xs]
+        pair = specfun.ShapePair(*shapes)
+        assert series(pair, 100.0) == grown[0]
+        assert len(pair.weights) == 600                          # grown inside the loop
+        pair = specfun.ShapePair(*shapes)
+        series(pair, 1e-3)                                       # the paired series' head
+        specfun._series_weights(pair, math.inf)                  # all 600 weights first
+        assert [series(pair, x) for x in xs] == grown, shapes
+        pair = specfun.ShapePair(*shapes)
+        assert [series(pair, x) for x in sorted(xs)] == [grown[xs.index(x)] for x in sorted(xs)]
 
 
 def test_memo_stays_at_its_bound():
