@@ -30,12 +30,14 @@ from these within their standard errors.  Consequences:
   rate and rises with the power.  Pass a different seed to decouple runs;
 * the (shape triple, block) jobs of a grid are shared by up to two
   threads, the caller's included, never more than the usable cores; each
-  keeps its own block buffers and integer crossing counts, summed at the
-  end.  Integer sums do not depend on order, so every estimate is bitwise
-  the same for any thread count and any order of the blocks.  The threads
+  keeps its own buffers and integer crossing counts, summed at the end.
+  Integer sums do not depend on order, so every estimate is bitwise the
+  same for any thread count and any order of the blocks.  The threads
   run only the draws, the power transform, ``gamma_eff`` and the counting;
   constants are derived on the calling thread, and no thread outlives the
-  call.
+  call;
+* a block is drawn and counted in chunks of ``_CHUNK`` from its streams,
+  which fill variate by variate: the same counts, in a few chunk rows.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from .errors import DomainError
 from .relaysys import DerivedConstants, SystemConfig, derive_constants
 
 _BLOCK = 1 << 16
+_CHUNK = 1 << 14   # draws a block is drawn and counted in, a few rows of them per thread
+_CELLS = 16   # cells of one SNR chain compared in one call, into a bool row each
 
 
 @dataclass(frozen=True)
@@ -70,20 +74,20 @@ def _shape_key(shapes):
     return tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
 
 
-def _unit_gammas(shapes, shape_key, seed: int, block: int, out):
-    """Fill out[j] with the first unit-scale gamma draws of block ``block`` of branch j."""
-    for j, (mu, row) in enumerate(zip(shapes, out)):
-        ss = np.random.SeedSequence(seed, spawn_key=(*shape_key, j, block))
-        np.random.Generator(np.random.PCG64DXSM(ss)).standard_gamma(mu, out=row)
+def _block_streams(shape_key, seed: int, block: int):
+    """The generators of block ``block`` of branches 0, 1 and 2, at their first draw."""
+    return [np.random.Generator(np.random.PCG64DXSM(
+        np.random.SeedSequence(seed, spawn_key=(*shape_key, j, block)))) for j in range(3)]
 
 
 def _power(g, p, out):
     """Squared envelope r_hat^2 (g/mu)^(2/alpha) from unit gammas g, into out (may be g)."""
-    np.divide(g, p.mu, out=out)
-    if p.alpha != 2.0:
-        out **= 2.0 / p.alpha
-    out *= p.r_hat * p.r_hat
-    return out
+    # a division by mu = 1, a power 2 / alpha = 1 and a product with
+    # r_hat^2 = 1 change no bit: each is skipped, the last unless g must
+    # still be copied into out
+    x = g if p.mu == 1.0 else np.divide(g, p.mu, out=out)
+    x = x if p.alpha == 2.0 else np.power(x, 2.0 / p.alpha, out=out)
+    return x if p.r_hat == 1.0 and x is out else np.multiply(x, p.r_hat * p.r_hat, out=out)
 
 
 def gamma_eff(mode: str, z, v, c: DerivedConstants, out=None):
@@ -167,13 +171,18 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     consts = [derive_constants(cfg) for cfg in cfgs]
-    # shape triple -> fading triple -> SNR-chain constants -> cell indices
+    # shape triple -> fading triple -> SNR-chain constants -> cell indices,
+    # then groups of up to _CELLS cells with their thresholds nu as a column
     plan = {}
     for i, (cfg, c) in enumerate(zip(cfgs, consts)):
         fadings = (cfg.hop1_fading, cfg.hop2_fading, cfg.lbi_fading)
         by_fading = plan.setdefault(tuple(p.mu for p in fadings), {})
         by_chain = by_fading.setdefault(fadings, {})
         by_chain.setdefault(replace(c, nu=0.0), []).append(i)
+    for by_chain in [b for by_fading in plan.values() for b in by_fading.values()]:
+        for chain, cells in by_chain.items():
+            nus = np.array([[consts[i].nu] for i in cells])
+            by_chain[chain] = [(cells[s:s + _CELLS], nus[s:s + _CELLS]) for s in range(0, len(cells), _CELLS)]
     jobs = collections.deque()
     for shapes, by_fading in plan.items():
         key = _shape_key(shapes)
@@ -187,28 +196,34 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
             return None
 
     def count_jobs():
-        counts = np.zeros((len(cfgs), len(modes)), dtype=np.int64)
+        counts = [[0] * len(modes) for _ in cfgs]
         # rows 0-2 take the draws and row 3 the SNR; a shape triple under
         # several fading triples keeps its draws, and rows 4-5 (untouched,
         # so not resident, otherwise) take the channel powers
-        buf = np.empty((6, min(n, _BLOCK)))
+        buf = np.empty((6, min(n, _CHUNK)))
+        below = np.empty((_CELLS, buf.shape[1]), dtype=bool)
         try:
             # in each thread: numpy's error state does not carry into threads
             with np.errstate(divide="ignore", over="ignore", invalid="raise"):
                 for shapes, key, block, m, by_fading in iter(next_job, None):
-                    g, out = buf[:3, :m], buf[3, :m]
-                    _unit_gammas(shapes, key, seed, block, g)
-                    for t, ((f1, f2, f3), by_chain) in enumerate(by_fading.items()):
-                        # the last fading triple may overwrite the draws
-                        dst = g if t == len(by_fading) - 1 else (buf[4, :m], out, buf[5, :m])
-                        z = _power(g[0], f1, dst[0])
-                        z *= _power(g[1], f2, dst[1])
-                        v = _power(g[2], f3, dst[2])
-                        for chain, cells in by_chain.items():
-                            for k, mode in enumerate(modes):
-                                gamma = gamma_eff(mode, z, v, chain, out=out)
-                                for i in cells:
-                                    counts[i, k] += np.count_nonzero(gamma < consts[i].nu)
+                    streams = _block_streams(key, seed, block)
+                    for w in (min(_CHUNK, m - start) for start in range(0, m, _CHUNK)):
+                        g = [gen.standard_gamma(mu, out=row)
+                             for mu, gen, row in zip(shapes, streams, buf[:3, :w])]
+                        out = buf[3, :w]
+                        for t, ((f1, f2, f3), by_chain) in enumerate(by_fading.items()):
+                            # the last fading triple may overwrite the draws
+                            dst = g if t == len(by_fading) - 1 else (buf[4, :w], out, buf[5, :w])
+                            z = _power(g[0], f1, dst[0])
+                            z *= _power(g[1], f2, dst[1])
+                            v = _power(g[2], f3, dst[2])
+                            for chain, groups in by_chain.items():
+                                for k, mode in enumerate(modes):
+                                    gamma = gamma_eff(mode, z, v, chain, out=out)
+                                    for cells, nus in groups:
+                                        hits = np.less(gamma, nus, out=below[:len(cells), :w])
+                                        for i, row in zip(cells, hits):
+                                            counts[i][k] += np.count_nonzero(row)
         except BaseException as exc:
             jobs.clear()   # the other threads stop after their current block
             if isinstance(exc, FloatingPointError):
@@ -217,8 +232,8 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
         return counts
 
     workers = max(1, min(_workers(), len(jobs)))
-    counts = sum(_run_on_threads(count_jobs, workers))
-    return [[_estimate(int(count), n) for count in row] for row in counts]
+    counts = _run_on_threads(count_jobs, workers)
+    return [[_estimate(sum(cell), n) for cell in zip(*rows)] for rows in zip(*counts)]
 
 
 def _estimate(count: int, n: int) -> McEstimate:

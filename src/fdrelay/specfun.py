@@ -562,24 +562,30 @@ def _k_table(nu: float):
     return table
 
 
-def _k_ladder(nu: float, t: float, n: int):
-    """[e^t K_{nu+j}(t), j < n] for nu >= 0, t >= 2 sqrt(6), and its relative bound.
-
-    The starting pair e^t K_m, e^t K_{m+1}, m = nu - round(nu) in [-1/2,
-    1/2], comes off the tables of orders |m| and m + 1 and ``_k_upward``
-    climbs from it.  Each step adds positive multiples of the two, so every
-    value keeps the larger of the two tables' bounds, which is returned.
-    Below 2 sqrt(6) the tables would extrapolate past y = 1.
-    """
-    if not t >= _K_TABLE_T_MIN:
-        raise DomainError(f"the tabled K takes t >= 2 sqrt(6), got {t}")
+def _k_start(nu: float):
+    """(m, n_up, the tables of orders |m| and m + 1, their larger bound), m = nu - n_up."""
     n_up = int(nu + 0.5)
     mu = nu - n_up
     (lo, lo_err), (hi, hi_err) = _k_table(abs(mu)), _k_table(mu + 1.0)
+    return mu, n_up, lo, hi, max(lo_err, hi_err)
+
+
+def _k_ladder(start, t: float, n: int):
+    """[e^t K_{nu+j}(t), j < n] for t >= 2 sqrt(6), and its relative bound.
+
+    The starting pair e^t K_m, e^t K_{m+1}, m = nu - round(nu) in [-1/2,
+    1/2], comes off the two tables of ``start`` = ``_k_start(nu >= 0)`` and
+    ``_k_upward`` climbs from it.  Each step adds positive multiples of the
+    two, so every value keeps the larger of the two tables' bounds, which is
+    returned.  Below 2 sqrt(6) the tables would extrapolate past y = 1.
+    """
+    if not t >= _K_TABLE_T_MIN:
+        raise DomainError(f"the tabled K takes t >= 2 sqrt(6), got {t}")
+    mu, n_up, lo, hi, bound = start
     y = _K_TABLE_SCALE / t - 1.0
     root = math.sqrt(t)
     ladder = _k_upward(mu, _clenshaw(lo, y) / root, _clenshaw(hi, y) / root, t, n_up + n)
-    return ladder[n_up:], max(lo_err, hi_err)
+    return ladder[n_up:], bound
 
 
 # the largest hop shape: e^t K_200(t) is e^683 at the smallest tail argument,
@@ -644,6 +650,7 @@ class ShapePair:
                      (a.f + b.f, a.ln_gamma_f, b.f, b.ln_gamma_f + math.log(b.f), b.n,
                       abs(a.ln_gamma_f) + abs(b.ln_gamma_f),
                       (1.0 - p) * _LN2 - a.ln_gamma_f - b.ln_gamma_f, p - 0.5) if a.f else None)
+        self.k_tables = None   # set by the first _kernel_tail call
         self.clamp = None   # set by the first fading.product_arg_clamp search
 
 
@@ -717,11 +724,14 @@ def _kernel_tail(pair: ShapePair, x0: float):
     residual.  Returns (S, abs error).
     """
     c, n_up, c_down, n_down, n_a, e_a, ln_b, f_a, g_a, u_a, budget, residual = pair.tail
+    if pair.k_tables is None:   # the ladders' starts and the residual's table
+        pair.k_tables = (n_up and _k_start(c), n_down and _k_start(c_down), residual and _k_table(c))
+    up_start, down_start, residual_table = pair.k_tables
     t0 = 2.0 * math.sqrt(x0)
     half_ln = 0.5 * math.log(x0)
     # the first sum's n_a orders c + n_b - k: down the ladder at c, past 0 up the one at 1 - c
-    up, up_err = _k_ladder(c, t0, n_up) if n_up else ([], 0.0)
-    down, down_err = _k_ladder(c_down, t0, n_down) if n_down else ([], 0.0)
+    up, up_err = _k_ladder(up_start, t0, n_up) if n_up else ([], 0.0)
+    down, down_err = _k_ladder(down_start, t0, n_down) if n_down else ([], 0.0)
     ladder = (up[::-1] + down)[:n_a]
     first, mag = _bessel_sum(e_a, half_ln, -t0 - ln_b, f_a, g_a, ladder)
     mag += u_a
@@ -733,7 +743,7 @@ def _kernel_tail(pair: ShapePair, x0: float):
     second, mag_b = _bessel_sum(e_b, half_ln, -t0 - ln_a, f_b, g_b, up[:n_b])
     mag = max(mag + abs(ln_a) + 24.0, mag_b + lg + 48.0)
     ln_pre -= t0
-    table, table_err = _k_table(c)
+    table, table_err = residual_table
     nodes, weights = _LAGUERRE_20
     res = 0.0
     for s, w in zip(nodes, weights):

@@ -3,6 +3,7 @@ import inspect
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,9 +15,11 @@ from fdrelay.errors import DomainError
 from fdrelay.fading import AlphaMuParams
 from fdrelay.mcsim import (
     _BLOCK,
+    _CELLS,
+    _CHUNK,
     McEstimate,
+    _block_streams,
     _shape_key,
-    _unit_gammas,
     simulate_grid,
     simulate_outage,
 )
@@ -77,10 +80,12 @@ def test_sweep_permutation_permutes_results():
 
 
 def test_grid_cells_equal_single_cell_runs():
-    # n is not a multiple of the block, so the last block is partial
+    # n is not a multiple of the block, so the last block is partial; the
+    # 10 W cells share one SNR chain, more cells than one comparison takes
     n = 100_003
-    grid = [preset_config("nakagami", source_power=ps, target_rate=r)
-            for ps in (1.0, 10.0) for r in (0.5, 1.5, 3.0, 4.5)]
+    grid = [preset_config("nakagami", source_power=1.0, target_rate=r) for r in (0.5, 1.5, 3.0, 4.5)]
+    grid += [preset_config("nakagami", source_power=10.0, target_rate=0.25 * k)
+             for k in range(1, _CELLS + 4)]
     ests = simulate_grid(grid, ("df", "af"), n, seed=4)
     for cfg, row in zip(grid, ests):
         for mode, est in zip(("df", "af"), row):
@@ -131,13 +136,13 @@ def test_estimates_do_not_depend_on_the_thread_count(monkeypatch):
     grid += [dataclasses.replace(base, hop1_fading=AlphaMuParams(a, 1.0),
                                  hop2_fading=AlphaMuParams(a, 1.0),
                                  lbi_fading=AlphaMuParams(a, 1.0)) for a in (1.5, 2.0, 3.5)]
-    taken, unit_gammas = [], mcsim._unit_gammas
+    taken, block_streams = [], mcsim._block_streams
 
-    def spy(shapes, key, seed, block, out):
-        taken.append(((shapes, block), threading.get_ident(), threading.active_count()))
-        unit_gammas(shapes, key, seed, block, out)
+    def spy(key, seed, block):
+        taken.append(((key, block), threading.get_ident(), threading.active_count()))
+        return block_streams(key, seed, block)
 
-    monkeypatch.setattr(mcsim, "_unit_gammas", spy)
+    monkeypatch.setattr(mcsim, "_block_streams", spy)
     before, interval = threading.active_count(), sys.getswitchinterval()
     est = {}
     try:
@@ -159,15 +164,15 @@ def test_estimates_do_not_depend_on_the_thread_count(monkeypatch):
 
 
 def test_a_failing_thread_raises_and_leaves_no_thread(monkeypatch):
-    calls, unit_gammas = [], mcsim._unit_gammas
+    calls, block_streams = [], mcsim._block_streams
 
     def failing(*args):
-        calls.append(args[3])
+        calls.append(args[2])
         if len(calls) == 2:
             raise MemoryError("block buffer")
-        unit_gammas(*args)
+        return block_streams(*args)
 
-    monkeypatch.setattr(mcsim, "_unit_gammas", failing)
+    monkeypatch.setattr(mcsim, "_block_streams", failing)
     monkeypatch.setattr(mcsim, "_workers", lambda: 2)
     before = threading.active_count()
     with pytest.raises(MemoryError, match="block buffer"):
@@ -178,28 +183,97 @@ def test_a_failing_thread_raises_and_leaves_no_thread(monkeypatch):
 
 def test_partial_block_takes_the_first_draws():
     shapes = (1.0, 2.5, 0.7)
-    full, part = np.empty((3, _BLOCK)), np.empty((3, 1000))
-    _unit_gammas(shapes, _shape_key(shapes), 3, 2, full)
-    _unit_gammas(shapes, _shape_key(shapes), 3, 2, part)
+    key = _shape_key(shapes)
+    full = [gen.standard_gamma(mu, _BLOCK) for mu, gen in zip(shapes, _block_streams(key, 3, 2))]
+    part = [gen.standard_gamma(mu, 1000) for mu, gen in zip(shapes, _block_streams(key, 3, 2))]
     for a, b in zip(full, part):
         assert np.array_equal(a[:1000], b)
+
+
+def whole_block(shapes, key, seed, block, m):
+    """The m draws of each branch of a block, drawn at once from its own stream."""
+    return [np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(
+        seed, spawn_key=(*key, j, block)))).standard_gamma(mu, m) for j, mu in enumerate(shapes)]
 
 
 @pytest.mark.parametrize("block, m", [(0, _BLOCK), (3, 1000)])
 def test_each_block_is_its_own_pcg64dxsm_stream(block, m):
     shapes, seed = (0.6, 1.0, 2.5), 2024
     key = _shape_key(shapes)
-    out = np.empty((3, m))
-    _unit_gammas(shapes, key, seed, block, out)
-    for j, (mu, row) in enumerate(zip(shapes, out)):
-        ss = np.random.SeedSequence(seed, spawn_key=(*key, j, block))
-        expected = np.random.Generator(np.random.PCG64DXSM(ss)).standard_gamma(mu, m)
-        assert np.array_equal(row, expected), j
+    expected = whole_block(shapes, key, seed, block, m)
+    for j, (mu, gen) in enumerate(zip(shapes, _block_streams(key, seed, block))):
+        assert np.array_equal(gen.standard_gamma(mu, m), expected[j]), j
+
+
+# (block, draws in it, chunk size): whole blocks at the loop's chunk and at
+# an odd one, a block shorter than a chunk, and the partial last block of
+# n = 100,003, two chunks and 1,699 draws
+@pytest.mark.parametrize("block, m, split", [
+    (0, _BLOCK, _CHUNK), (0, _BLOCK, 4099), (5, 1000, _CHUNK),
+    (1, 100_003 - _BLOCK, _CHUNK), (1, 100_003 - _BLOCK, 4099)])
+def test_a_block_drawn_in_chunks_is_the_block_drawn_whole(block, m, split):
+    # a Generator fills its output one variate after another, so chunks of
+    # one stream concatenate to the block's draws, bit for bit
+    seed = 77
+    for shapes in ((0.6, 1.0, 2.5), (150.0, 2.5, 0.6)):
+        key = _shape_key(shapes)
+        chunked = np.empty((3, m))
+        streams = _block_streams(key, seed, block)
+        for start in range(0, m, split):
+            for mu, gen, row in zip(shapes, streams, chunked[:, start:start + split]):
+                gen.standard_gamma(mu, out=row)
+        for j, expected in enumerate(whole_block(shapes, key, seed, block, m)):
+            assert np.array_equal(chunked[j], expected), (shapes, j)
+
+
+def test_fading_triples_under_one_shape_triple_count_as_whole_blocks():
+    # the weibull alpha sweep at mu 1 puts three fading triples under one
+    # shape triple, so the first two take rows 4-5 of the chunk buffer; n
+    # gives a full block, then one full chunk and 7 draws.  Reference: each
+    # block's draws taken whole, the powers r_hat^2 (g/mu)^(2/alpha), and
+    # the crossings counted cell by cell
+    n, seed, modes = _BLOCK + _CHUNK + 7, 19, ("df", "af")
+    base = preset_config("weibull")
+    grid = [dataclasses.replace(base, target_rate=r, hop1_fading=AlphaMuParams(a, 1.0),
+                                hop2_fading=AlphaMuParams(a, 1.0),
+                                lbi_fading=AlphaMuParams(a, 1.0, 0.3))
+            for a in (1.5, 2.0, 3.5) for r in (1.0, 2.5)]
+    shapes = (1.0, 1.0, 1.0)
+    key = _shape_key(shapes)
+    counts = np.zeros((len(grid), len(modes)), dtype=int)
+    for block, start in enumerate(range(0, n, _BLOCK)):
+        g = whole_block(shapes, key, seed, block, min(_BLOCK, n - start))
+        for i, cfg in enumerate(grid):
+            h1, h2, h3 = ((gj / p.mu) ** (2.0 / p.alpha) * (p.r_hat * p.r_hat) for gj, p in
+                          zip(g, (cfg.hop1_fading, cfg.hop2_fading, cfg.lbi_fading)))
+            c = derive_constants(cfg)
+            for k, mode in enumerate(modes):
+                counts[i, k] += np.count_nonzero(mcsim.gamma_eff(mode, h1 * h2, h3, c) < c.nu)
+    est = simulate_grid(grid, modes, n, seed)
+    assert [[e.p_hat for e in row] for row in est] == [[c / n for c in row] for row in counts]
+    assert 0 < counts.min() and counts.max() < n
+
+
+def test_working_memory_is_a_few_chunk_rows(monkeypatch):
+    # one thread draws and counts 1e6 draws of 12 rates in both modes: the
+    # buffers are chunk rows, never a block; a warm-up call first takes the
+    # lazy imports of numpy.random
+    grid = [preset_config("nakagami", target_rate=0.5 * k) for k in range(1, 13)]
+    monkeypatch.setattr(mcsim, "_workers", lambda: 1)
+    simulate_grid(grid, ("df", "af"), 10_000, 1)
+    tracemalloc.start()
+    try:
+        simulate_grid(grid, ("df", "af"), 1_000_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 2**20
 
 
 def test_rate_sweep_shares_one_snr_chain_per_mode_and_block(monkeypatch):
     # cells that differ only in the rate differ only in nu, which the SNR
     # chain does not read; a per-rate chain would run gamma_eff 12 times
+    # per chunk of each block
     grid = [preset_config("nakagami", target_rate=0.5 * k) for k in range(1, 13)]
     calls, gamma_eff = [], mcsim.gamma_eff
 
@@ -209,8 +283,9 @@ def test_rate_sweep_shares_one_snr_chain_per_mode_and_block(monkeypatch):
 
     monkeypatch.setattr(mcsim, "gamma_eff", spy)
     simulate_grid(grid, ("df", "af"), GOLDEN_N, 5)
-    blocks = -(-GOLDEN_N // _BLOCK)
-    assert sorted(calls) == ["af"] * blocks + ["df"] * blocks
+    chunks = sum(-(-min(_BLOCK, GOLDEN_N - start) // _CHUNK) for start in range(0, GOLDEN_N, _BLOCK))
+    assert chunks == 7
+    assert sorted(calls) == ["af"] * chunks + ["df"] * chunks
 
 
 def test_rate_sweep_monotone():

@@ -102,6 +102,7 @@ def test_residual_k_table_moves_no_value():
         specfun._PAIRS.clear()
         specfun._K_TABLES.clear()
         assert fn(shape_pair(1.3, 1.8), 50.0) == fresh, fn.__name__
+        specfun._PAIRS.clear()                                   # no pair keeps its tables
         specfun._K_TABLES.clear()
         fn(shape_pair(2.3, 3.8), 50.0)                           # the same orders
         assert fn(shape_pair(1.3, 1.8), 50.0) == fresh, fn.__name__

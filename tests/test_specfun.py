@@ -165,8 +165,8 @@ def test_bessel_k_shares_no_code_with_the_engines_k(monkeypatch):
     def forbidden(*args):
         raise AssertionError("continued-fraction K called")
 
-    for name in ("_bessel_k_cf2", "_k_upward", "_bessel_k_scaled", "_k_table", "_k_ladder",
-                 "_clenshaw"):
+    for name in ("_bessel_k_cf2", "_k_upward", "_bessel_k_scaled", "_k_table", "_k_start",
+                 "_k_ladder", "_clenshaw"):
         monkeypatch.setattr(specfun, name, forbidden)
     for nu in (0.0, 0.5, 3.7, 20.0):
         for x in (1e-8, 0.5, 2.0, 6.0, 300.0):
@@ -185,7 +185,7 @@ def test_tabled_ladder_takes_only_t_from_2_sqrt_6():
     t_min = 2.0 * math.sqrt(6.0)
     for t in (math.nextafter(t_min, 0.0), 2.0, 1.0, 1e-3):
         with pytest.raises(DomainError):
-            specfun._k_ladder(2.0, t, 3)
+            specfun._k_ladder(specfun._k_start(2.0), t, 3)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 0.5, 0.7, 1.0, 2.25, 7.5])
@@ -194,7 +194,7 @@ def test_tabled_ladder_matches_mpmath_within_its_bound(nu):
     # within the larger table bound plus 4 EPS a step of the recurrence
     n = 6
     for t in (2.0 * math.sqrt(6.0), 7.3, 30.0, 632.0):
-        ladder, bound = specfun._k_ladder(nu, t, n)
+        ladder, bound = specfun._k_ladder(specfun._k_start(nu), t, n)
         assert len(ladder) == n and bound <= 1e-14
         for j, value in enumerate(ladder):
             ref = mpmath.exp(t) * mpmath.besselk(nu + j, t)
@@ -412,6 +412,7 @@ def test_preset_shape_tail_makes_one_bessel_call(monkeypatch):
             raise AssertionError("Gauss-Laguerre rule used")
 
     monkeypatch.setattr(specfun, "_LAGUERRE_20", Untouchable())
+    monkeypatch.setattr(specfun, "_PAIRS", {})   # a cold pair resolves its tables
     cf_calls = _count_cf_calls(monkeypatch)
     ladders = []
     real = specfun._k_ladder
@@ -428,6 +429,31 @@ def test_preset_shape_tail_makes_one_bessel_call(monkeypatch):
         assert len(cf_calls) == before + cf
     assert len(ladders) == 2
     assert sorted(specfun._K_TABLES) == [0.0, 1.0]
+
+
+def test_a_pair_resolves_its_k_tables_on_its_first_tail(monkeypatch):
+    # mu 1.3 / 1.8 takes the up ladder's start (two tables) and the
+    # residual's table, mu 3.2 / 1.5 the down ladder's start as well:
+    # looked up on the pair's first tail, not when it is built and not on
+    # later tails
+    monkeypatch.setattr(specfun, "_PAIRS", {})
+    lookups, real = [], specfun._k_table
+
+    def counted(nu):
+        lookups.append(nu)
+        return real(nu)
+
+    monkeypatch.setattr(specfun, "_k_table", counted)
+    for mu1, mu2, first_lookups in ((1.3, 1.8, 3), (3.2, 1.5, 5)):
+        pair = shape_pair(mu1, mu2)
+        assert pair.k_tables is None and not lookups
+        first = _kernel_tail(pair, 50.0)
+        assert len(lookups) == first_lookups, (mu1, mu2)
+        for x0 in (50.0, 80.0, 300.0):
+            _kernel_tail(pair, x0)
+        assert _kernel_tail(pair, 50.0) == first
+        assert len(lookups) == first_lookups, (mu1, mu2)
+        lookups.clear()
 
 
 def test_kernel_tail_bessel_work(monkeypatch):
