@@ -7,13 +7,7 @@ each can validate the other, and ships a CLI for parameter sweeps.
 """
 
 from .errors import DomainError, ScenarioError
-from .fading import (
-    AlphaMuParams,
-    ProductDistParams,
-    cdf_power,
-    pdf_power,
-    sample_envelope,
-)
+from .fading import AlphaMuParams, ProductDistParams, cdf_power, pdf_power
 from .mcsim import McEstimate, simulate_grid, simulate_outage
 from .outage import OutageResult, outage_af, outage_df, outage_high_snr
 from .presets import PRESET_NAMES, preset_config
@@ -35,7 +29,6 @@ __all__ = [
     "ProductDistParams",
     "cdf_power",
     "pdf_power",
-    "sample_envelope",
     # config
     "DerivedConstants",
     "SystemConfig",

@@ -149,12 +149,16 @@ def config_from_dict(d) -> SystemConfig:
 def load_scenario(path: str) -> Scenario:
     """Load and validate a scenario file: {id, config, optional sweep}."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text at byte {exc.start}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from None
     _object(raw, path, {"id", "config", "sweep"}, optional=("sweep",))
     sweep = raw.get("sweep")
     if sweep is not None:

@@ -30,6 +30,8 @@ from these within their standard errors.  Consequences:
   rate and rises with the power.  Pass a different seed to decouple runs;
 * the (shape triple, block) jobs of a grid are shared by up to two
   threads, the caller's included, never more than the usable cores; each
+  takes the next job from one iterator, advanced under a lock, that makes
+  a job only when it is taken, so no job state grows with n; each thread
   keeps its own buffers and integer crossing counts, summed at the end.
   Integer sums do not depend on order, so every estimate is bitwise the
   same for any thread count and any order of the blocks.  The threads
@@ -42,7 +44,6 @@ from these within their standard errors.  Consequences:
 
 from __future__ import annotations
 
-import collections
 import hashlib
 import math
 import os
@@ -183,17 +184,15 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
         for chain, cells in by_chain.items():
             nus = np.array([[consts[i].nu] for i in cells])
             by_chain[chain] = [(cells[s:s + _CELLS], nus[s:s + _CELLS]) for s in range(0, len(cells), _CELLS)]
-    jobs = collections.deque()
-    for shapes, by_fading in plan.items():
-        key = _shape_key(shapes)
-        for block, start in enumerate(range(0, n, _BLOCK)):
-            jobs.append((shapes, key, block, min(_BLOCK, n - start), by_fading))
+    # (shape triple, block) jobs, made one at a time as threads take them
+    keyed = [(shapes, _shape_key(shapes), by_fading) for shapes, by_fading in plan.items()]
+    jobs = ((shapes, key, block, min(_BLOCK, n - start), by_fading)
+            for shapes, key, by_fading in keyed for block, start in enumerate(range(0, n, _BLOCK)))
+    lock = threading.Lock()
 
     def next_job():
-        try:
-            return jobs.popleft()
-        except IndexError:
-            return None
+        with lock:
+            return next(jobs, None)
 
     def count_jobs():
         counts = [[0] * len(modes) for _ in cfgs]
@@ -225,13 +224,14 @@ def simulate_grid(cfgs, modes, n: int, seed: int):
                                         for i, row in zip(cells, hits):
                                             counts[i][k] += np.count_nonzero(row)
         except BaseException as exc:
-            jobs.clear()   # the other threads stop after their current block
+            with lock:
+                jobs.close()   # the other threads stop after their current block
             if isinstance(exc, FloatingPointError):
                 raise DomainError(f"Monte Carlo draws leave the double range ({exc})") from None
             raise
         return counts
 
-    workers = max(1, min(_workers(), len(jobs)))
+    workers = max(1, min(_workers(), len(keyed) * -(-n // _BLOCK)))
     counts = _run_on_threads(count_jobs, workers)
     return [[_estimate(sum(cell), n) for cell in zip(*rows)] for rows in zip(*counts)]
 

@@ -585,6 +585,18 @@ def test_malformed_scenario_value_exits_2(tmp_path, capsys, scenario, needle):
     _assert_config_error(code, capsys, needle)
 
 
+@pytest.mark.parametrize("content, needle", [
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    (b"\xff\xfe{", "not UTF-8"),
+], ids=["deep-array", "utf16-bom"])
+def test_unparsable_scenario_file_exits_2(tmp_path, capsys, content, needle):
+    # json.load's recursion limit and the file's decoding, before any schema
+    path = tmp_path / "s.json"
+    path.write_bytes(content)
+    code = main(["--config", str(path), "--method", "analytic"])
+    _assert_config_error(code, capsys, str(path), needle)
+
+
 def _with_value(key, value):
     """GOOD_CONFIG with one number, named ``key`` or ``branch.key``, replaced."""
     cfg = json.loads(json.dumps(GOOD_CONFIG))
@@ -980,9 +992,9 @@ def test_engines_end_in_rows_or_one_error(tmp_path_factory, doc, with_mc):
 _README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def _readme_cli_commands():
-    """Each ``fdrelay`` command of the README's CLI section, as an argv."""
-    section = _README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+def _readme_cli_commands(heading="CLI"):
+    """Each ``fdrelay`` command in the shell block of README section ``heading``, as an argv."""
+    section = _README.read_text().split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
     block = section.split("```sh", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(ln)[1:] for ln in lines if ln.startswith("fdrelay ")]
@@ -999,3 +1011,31 @@ def test_readme_cli_commands_run(tmp_path, capsys):
         argv = [str(path) if a == "scenario.json" else a for a in argv]
         assert main(argv) == 0, argv
         assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
+
+
+# the CSV of each README experiment and its rows: 12 rates x 2 modes x 2
+# methods, 13 alphas x 2 modes, 12 rates x 2 modes
+_EXPERIMENTS = {
+    **{f"rate_sweep_{preset}_p{power}.csv": 48
+       for preset in ("rayleigh", "weibull", "nakagami") for power in (1, 10)},
+    **{f"alpha_sweep_mu{mu}_p{power}.csv": 26 for mu in (1, 2) for power in (1, 10)},
+    **{f"high_snr_{method}_p{power}.csv": 24
+       for method in ("analytic", "high_snr") for power in (1000, 10000, 1000000)},
+}
+
+
+def test_readme_experiments_run(tmp_path, capsys):
+    # the README's Experiments block is the one record of the paper's runs:
+    # each command writes its own CSV, here under tmp_path for results/
+    commands = _readme_cli_commands("Experiments")
+    assert len(commands) == len(_EXPERIMENTS)
+    for argv in commands:
+        argv = [str(tmp_path / a[len("results/"):]) if a.startswith("results/") else a
+                for a in argv]
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(_EXPERIMENTS)
+    for name, rows in _EXPERIMENTS.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[0] == CSV_HEADER, name
+        assert len(lines) == 1 + rows, name

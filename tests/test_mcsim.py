@@ -181,6 +181,33 @@ def test_a_failing_thread_raises_and_leaves_no_thread(monkeypatch):
     assert len(calls) < 40
 
 
+def test_job_state_does_not_grow_with_the_sample_count(monkeypatch):
+    # the (shape triple, block) jobs are made one at a time as a thread
+    # takes them: at n = 2^34 (262,144 blocks) the hand-out holds what it
+    # holds at one block, where a list of the jobs would take tens of MB.
+    # The first block's streams raise, so nothing is drawn
+    class FirstBlock(Exception):
+        pass
+
+    def first_block(*args):
+        raise FirstBlock
+
+    grid = [preset_config("rayleigh", target_rate=r) for r in (1.0, 2.0)]
+    monkeypatch.setattr(mcsim, "_workers", lambda: 1)
+    simulate_grid(grid, ("df", "af"), 10_000, 1)   # takes the lazy imports of numpy.random
+    monkeypatch.setattr(mcsim, "_block_streams", first_block)
+    peak = {}
+    for n in (_BLOCK, 2**34):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstBlock):
+                simulate_grid(grid, ("df", "af"), n, 1)
+            peak[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak[2**34] - peak[_BLOCK] < 2**20
+
+
 def test_partial_block_takes_the_first_draws():
     shapes = (1.0, 2.5, 0.7)
     key = _shape_key(shapes)
