@@ -267,7 +267,7 @@ _METHODS = {"analytic": ("analytic",), "mc": ("mc",), "high-snr": ("high_snr",),
 @functools.cache   # parsing leaves the parser as it was, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="fdrelay",
+        prog="fdrelay", allow_abbrev=False,
         description="Outage probability of an energy-harvesting full-duplex "
                     "relay link over generalized fading.")
     src = p.add_mutually_exclusive_group(required=True)

@@ -12,6 +12,11 @@ Special cases by parameter choice: Rayleigh (alpha=2, mu=1), Nakagami-m
 The power-distribution rate constant is ``lam = mu / r_hat**alpha`` (the
 exponent is alpha, not alpha/2), a convention the normalization tests
 enforce.
+
+Overflow rule: a power x ** y past the double range is inf, decided by
+``_pow_or_inf`` alone, and each caller reads inf as its limit: a branch
+rate of 0, a CDF or F_Z of 1, a density of 0, a path-loss product out of
+range, and an AF endpoint past the loop-back density's underflow.
 """
 
 from __future__ import annotations
@@ -39,6 +44,14 @@ _MIN_NORMAL = sys.float_info.min   # the least positive normal double
 _CLAMP_TAIL = 1e-14
 
 
+def _pow_or_inf(x: float, y: float) -> float:
+    """x ** y, or inf where it passes the double range."""
+    try:
+        return x ** y
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class AlphaMuParams:
     """One fading branch: nonlinearity exponent, shape, and alpha-root mean.
@@ -51,9 +64,8 @@ class AlphaMuParams:
     mu: float
     r_hat: float = 1.0
     ln_gamma_mu: float = field(init=False, repr=False, compare=False)  # ln Gamma(mu)
-    # lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha; inf when
-    # r_hat**alpha underflows and 0 when it overflows, where the branch power
-    # is 0 or inf in double precision
+    # lam = mu / r_hat**alpha, the gamma rate of (envelope)**alpha; inf where
+    # r_hat**alpha underflows, as the branch power is 0 in double precision
     rate: float = field(init=False, repr=False, compare=False)
     half_alpha: float = field(init=False, repr=False, compare=False)   # alpha / 2
     # ln(alpha/2) + mu ln(rate), the leading sum of pdf_power's exponent
@@ -66,12 +78,8 @@ class AlphaMuParams:
             raise DomainError(f"mu must be >= 0.5, got {self.mu}")
         if not self.r_hat > 0.0:
             raise DomainError(f"r_hat must be positive, got {self.r_hat}")
-        try:
-            scale = self.r_hat ** self.alpha
-        except OverflowError:
-            rate = 0.0
-        else:
-            rate = self.mu / scale if scale > 0.0 else math.inf
+        scale = _pow_or_inf(self.r_hat, self.alpha)
+        rate = self.mu / scale if scale > 0.0 else math.inf
         try:
             ln_pdf_norm = math.log(0.5 * self.alpha) + self.mu * math.log(rate)
         except ValueError:   # alpha / 2 or the rate is 0 in double precision
@@ -109,7 +117,7 @@ def pdf_power(p: AlphaMuParams, x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"pdf_power requires x > 0, got {x}")
     ln_f = (p.ln_pdf_norm + (p.half_alpha * p.mu - 1.0) * math.log(x) - p.ln_gamma_mu
-            - p.rate * x ** p.half_alpha)
+            - p.rate * _pow_or_inf(x, p.half_alpha))
     return math.exp(ln_f) if ln_f > EXP_UNDERFLOW else 0.0
 
 
@@ -119,11 +127,7 @@ def cdf_power(p: AlphaMuParams, x: float) -> float:
         raise DomainError(f"cdf_power requires x >= 0, got {x}")
     if x == 0.0:
         return 0.0
-    try:
-        w = (math.sqrt(x) / p.r_hat) ** p.alpha
-    except OverflowError:   # past the double range, where the CDF is 1
-        w = math.inf
-    return reg_lower_gamma(p.mu, p.mu * w)
+    return reg_lower_gamma(p.mu, p.mu * _pow_or_inf(math.sqrt(x) / p.r_hat, p.alpha))
 
 
 def sample_envelope(p: AlphaMuParams, rng, size=None):
@@ -168,10 +172,7 @@ def _cdf_product_meijer(pp: ProductDistParams, z: float):
     below the least normal double.  There they keep too few bits to take F_Z
     at, and F_Z is at most its value at max(lam12, 1) times that double.
     """
-    try:
-        y = z ** pp.half_alpha
-    except OverflowError:   # z^{alpha/2} past the double range, where F_Z is exactly 1
-        y = math.inf
+    y = _pow_or_inf(z, pp.half_alpha)
     lam12 = pp.lam12
     x = lam12 * y
     pair = pp.shapes

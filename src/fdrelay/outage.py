@@ -27,6 +27,7 @@ from .fading import (
     cdf_power,
     pdf_power,
     _cdf_product_meijer,
+    _pow_or_inf,
 )
 from .quadrature import QuadratureSettings, integrate_adaptive
 from .relaysys import SystemConfig, derive_constants
@@ -97,9 +98,8 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
     df, c, pp, f_z_d = _df(cfg)
     nu, v_star, lbi = c.nu, c.v_star, cfg.lbi_fading
     lam3, a3, mu3 = lbi.rate, lbi.alpha, lbi.mu
-    # the least gap a node may take; sigma_R^2 from the same sum as rho
-    sigma_r2 = cfg.noise_antenna_var + cfg.noise_conversion_var
-    gap_min = 0.0 if sigma_r2 >= cfg.noise_dest_var else -math.inf
+    # the least gap a node may take
+    gap_min = 0.0 if cfg.noise_relay_var >= cfg.noise_dest_var else -math.inf
 
     f_z_failed = []
 
@@ -120,10 +120,23 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
         value, err = df.value + max(gap_min, f_z0 - f_z_d), df.numeric_error + f_z0_err
         return OutageResult(value=min(1.0, max(0.0, value)), numeric_error=err,
                             converged=math.isfinite(err))
+    if lam3 == 0.0:
+        # mu3 / r_hat^a3 underflowed, so no integrand can weigh the loop-back mass
+        # below v*: AF is DF within F_V(v*), the most the gap integral adds
+        f_v = cdf_power(lbi, v_star)
+        return OutageResult(value=df.value, numeric_error=df.numeric_error + f_v,
+                            converged=df.converged and f_v <= _ERR_FLOOR)
 
     # lower half in w = lam3 * v^{a3/2}: f_V(v) dv = w^{mu3-1} e^-w dw / Gamma(mu3)
-    w_mid = lam3 * (0.5 * v_star) ** (0.5 * a3)
     mu3_m1, ln_gamma3, two_over_a3 = mu3 - 1.0, lbi.ln_gamma_mu, 2.0 / a3
+    w_mid = lam3 * _pow_or_inf(0.5 * v_star, 0.5 * a3)
+    upper = w_mid < math.inf
+    if not upper:
+        # the lower half ends where the gamma density, past its mode, underflows,
+        # and the upper half, where it is 0, is dropped
+        w_mid = mu3 + 1.0
+        while mu3_m1 * math.log(w_mid) - w_mid - ln_gamma3 >= EXP_UNDERFLOW:
+            w_mid *= 2.0
 
     def lower_integrand(w):
         if w == 0.0:
@@ -159,7 +172,7 @@ def outage_af(cfg: SystemConfig) -> OutageResult:
 
     bps_up = [1e-10, 1e-7, 1e-4, 1e-2, 0.1]
     val_up, err_up, ok_up = integrate_adaptive(
-        upper_integrand, 0.0, 0.5, settings, breakpoints=bps_up)
+        upper_integrand, 0.0, 0.5, settings, breakpoints=bps_up) if upper else (0.0, 0.0, True)
 
     value = df.value + val_lo + val_up
     err = math.inf if f_z_failed else df.numeric_error + err_lo + err_up

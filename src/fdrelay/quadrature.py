@@ -13,7 +13,7 @@ import heapq
 import sys
 from dataclasses import dataclass
 
-_EPS = sys.float_info.epsilon
+EPS = sys.float_info.epsilon
 
 # (node, Gauss weight, Kronrod weight) on [-1, 1]; zero Gauss weight marks
 # Kronrod-only nodes.
@@ -74,7 +74,7 @@ def gauss_kronrod(f, a: float, b: float):
     # sharpen the estimate once the pair agrees well, as in the usual
     # QUADPACK heuristic; keep a floor tied to roundoff of the panel
     err = min(raw, (200.0 * raw) ** 1.5) if raw > 0.0 else 0.0
-    err = max(err, 50.0 * _EPS * ia)
+    err = max(err, 50.0 * EPS * ia)
     return ik, err
 
 

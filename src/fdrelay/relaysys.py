@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .fading import AlphaMuParams
+from .fading import AlphaMuParams, _pow_or_inf
 
 
 @dataclass(frozen=True)
@@ -42,18 +42,10 @@ class SystemConfig:
     target_rate: float                  # bits/s/Hz
 
     def __post_init__(self):
-        positives = {
-            "source_power": self.source_power,
-            "hop1_distance": self.hop1_distance,
-            "hop2_distance": self.hop2_distance,
-            "hop1_pathloss": self.hop1_pathloss,
-            "hop2_pathloss": self.hop2_pathloss,
-            "noise_antenna_var": self.noise_antenna_var,
-            "noise_conversion_var": self.noise_conversion_var,
-            "noise_dest_var": self.noise_dest_var,
-            "target_rate": self.target_rate,
-        }
-        for name, v in positives.items():
+        for name in ("source_power", "hop1_distance", "hop2_distance", "hop1_pathloss",
+                     "hop2_pathloss", "noise_antenna_var", "noise_conversion_var",
+                     "noise_dest_var", "target_rate"):
+            v = getattr(self, name)
             if not v > 0.0:
                 raise DomainError(f"{name} must be positive, got {v}")
         if not 0.0 < self.eh_efficiency <= 1.0:
@@ -62,6 +54,11 @@ class SystemConfig:
         if not 0.0 < self.eh_time_fraction < 1.0:
             raise DomainError(
                 f"eh_time_fraction must be in (0, 1), got {self.eh_time_fraction}")
+
+    @property
+    def noise_relay_var(self) -> float:
+        """sigma_R^2, the relay's noise: antenna plus conversion stage."""
+        return self.noise_antenna_var + self.noise_conversion_var
 
 
 @dataclass(frozen=True)
@@ -94,11 +91,8 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
             f"target_rate / (1 - eh_time_fraction) = {x:g} puts the SNR threshold "
             f"2^x - 1 = {nu:g} outside the double range; x must be below 1024 "
             f"and above about 1.6e-16")
-    try:
-        path = (cfg.hop1_distance ** cfg.hop1_pathloss
-                * cfg.hop2_distance ** cfg.hop2_pathloss)
-    except OverflowError:
-        path = math.inf
+    path = (_pow_or_inf(cfg.hop1_distance, cfg.hop1_pathloss)
+            * _pow_or_inf(cfg.hop2_distance, cfg.hop2_pathloss))
     if not 0.0 < path < math.inf:
         raise DomainError(
             f"path-loss product d1^m1 d2^m2 = {path:g} must be finite and above 0 "
@@ -107,5 +101,5 @@ def derive_constants(cfg: SystemConfig) -> DerivedConstants:
         kappa=kappa,
         nu=nu,
         dest_coef=kappa * cfg.source_power / (path * cfg.noise_dest_var),
-        rho=path * (cfg.noise_antenna_var + cfg.noise_conversion_var) / cfg.source_power,
+        rho=path * cfg.noise_relay_var / cfg.source_power,
     )

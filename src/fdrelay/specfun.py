@@ -51,13 +51,11 @@ Gamma| ulp that every error estimate here budgets per ln Gamma.
 from __future__ import annotations
 
 import math
-import sys
 from typing import NamedTuple
 
 from .errors import DomainError
-from .quadrature import QuadratureSettings, integrate_adaptive
+from .quadrature import EPS, QuadratureSettings, integrate_adaptive
 
-EPS = sys.float_info.epsilon
 # exp(x) at or below this is at most the least subnormal double: taken as 0
 EXP_UNDERFLOW = -745.0
 EULER_GAMMA = 0.5772156649015328606065120900824024

@@ -9,7 +9,8 @@ benchmark scripts are only read.
 A name in ``fdrelay.__all__`` must be read outside the module that defines
 it, or by ``bench/``, or be the return type of an exported function: the
 package exports what the CLI and the engines call and the types they return.
-Only the Monte Carlo leg, ``mcsim``, imports numpy.
+Only the Monte Carlo leg, ``mcsim``, imports numpy.  Each numerical rule
+has one owner: the overflow of a power, sigma_R^2 and machine epsilon.
 """
 
 import ast
@@ -92,3 +93,28 @@ def test_only_mcsim_imports_numpy():
     importers = {stem for stem, body in SRC.items() for stmt in body
                  for node in ast.walk(stmt) if _imports_numpy(node)}
     assert importers == {"mcsim"}
+
+
+def _catches_overflow(handler):
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(n, ast.Name) and n.id == "OverflowError" for n in names)
+
+
+def test_each_rule_has_one_owner():
+    # a power past the double range is decided by fading._pow_or_inf alone,
+    # sigma_R^2 is summed once and machine epsilon is defined once
+    handlers = [f"{stem}.{stmt.name}" for stem, body in SRC.items() for stmt in body
+                if isinstance(stmt, _DEFS) and stmt.name != "_pow_or_inf"
+                for node in ast.walk(stmt) if isinstance(node, ast.Try)
+                and any(_catches_overflow(h) for h in node.handlers)
+                and any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow)
+                        for part in node.body for sub in ast.walk(part))]
+    assert not handlers, f"OverflowError caught around a power outside _pow_or_inf: {handlers}"
+    noise = {"noise_antenna_var", "noise_conversion_var"}
+    sums = [stem for stem, body in SRC.items() for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and {getattr(node.left, "attr", None), getattr(node.right, "attr", None)} == noise]
+    assert len(sums) == 1, f"sigma_R^2 formed in {sums}"
+    eps = [stem for stem, body in SRC.items() for stmt in body if isinstance(stmt, ast.Assign)
+           for target in stmt.targets if getattr(target, "id", None) == "EPS"]
+    assert eps == ["quadrature"], f"EPS defined in {eps}"

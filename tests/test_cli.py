@@ -397,6 +397,49 @@ def test_main_error_exit_codes(tmp_path):
     assert main(["--preset", "rayleigh", "--method", "mc", "--samples", "100"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--alpha", "2"], ["--sam", "10000"]], ids=["alpha", "sam"])
+def test_abbreviated_flag_exits_2(capsys, argv):
+    # each flag has one spelling: --alpha is not --alpha-sweep, --sam not --samples
+    with pytest.raises(SystemExit) as exc:
+        main(["--preset", "rayleigh", "--method", "mc", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# (preset, alpha on every branch, target rate): AF's lower-half endpoint
+# (v*/2)^{alpha/2} passes the double range in the first five, the loop-back
+# density's v^{alpha/2} in its upper half in the last five
+_LARGE_ALPHA_CELLS = [
+    ("rayleigh", 100, "1e-10"), ("rayleigh", 250, "1e-8"), ("nakagami", 150, "1e-6"),
+    ("weibull", 200, "1e-4"), ("rayleigh", 300, "1e-3"),
+    ("rayleigh", 200, "4.4e-4"), ("rayleigh", 100, "3.98e-7"), ("nakagami", 140, "1.58e-5"),
+    ("weibull", 160, "1e-4"), ("rayleigh", 220, "6.31e-4"),
+]
+
+
+def test_large_alpha_ends_in_rows_or_one_error(capsys):
+    # rows with outage in [0, 1] and DF <= AF (sigma_R^2 = sigma_D^2 on the
+    # presets), or exit 3 with one error line; never a traceback.  AF is
+    # within 4 sigma of 1e6 exact draws, where a count with every draw on one
+    # side takes one draw's weight as its sigma
+    cfgs, af_rows = [], []
+    for preset, alpha, rate in _LARGE_ALPHA_CELLS:
+        code = main(["--preset", preset, "--method", "analytic", "--rate", rate,
+                     "--alpha-sweep", f"{alpha}:{alpha}:1"])
+        out, err = capsys.readouterr()
+        assert code in (0, 3), (preset, alpha, rate, err)
+        assert len([ln for ln in err.splitlines() if ln.startswith("error:")]) == (code == 3)
+        rows = {r.mode: r for r in rows_from_csv(out)}
+        assert all(0.0 <= r.outage <= 1.0 for r in rows.values()), rows
+        assert rows["df"].outage <= rows["af"].outage, (preset, alpha, rate, rows)
+        cfgs.append(apply_sweep_value(preset_config(preset, target_rate=float(rate)),
+                                      "alpha", float(alpha)))
+        af_rows.append(rows["af"])
+    n = 1_000_000
+    for row, (est,) in zip(af_rows, simulate_grid(cfgs, ["af"], n, 42)):
+        assert abs(row.outage - est.p_hat) <= 4.0 * max(est.stderr, 1.0 / n), (row, est)
+
+
 @pytest.mark.parametrize("rate", ["3000", "1e-300"])
 @pytest.mark.parametrize("method", ["analytic", "mc"])
 def test_threshold_out_of_double_range_exits_2(rate, method, capsys):
@@ -429,6 +472,21 @@ def test_huge_loopback_scale_is_outage(capsys):
     rows = rows_from_csv(capsys.readouterr().out)
     assert [r.mode for r in rows] == ["af", "df"]
     assert [r.outage for r in rows] == [1.0, 1.0]
+
+
+def test_underflowed_loopback_rate_exits_3(capsys):
+    # r_hat^alpha = 40^200 overflows, so the loop-back rate mu / r_hat^alpha is
+    # 0 while the loop-back power (about 40^2) has mass below v*: AF keeps DF's
+    # value, and its err, F_V(v*) more than DF's, bounds the true AF
+    argv = ["--preset", "rayleigh", "--method", "both", "--mode", "af", "--samples", "100000",
+            "--alpha-sweep", "200:200:1", "--lbi-r-hat", "40", "--power", "0.1",
+            "--rate", "3.6e-4"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert [ln for ln in err.splitlines() if ln.startswith("error:")] == [
+        "error: at least one row did not converge"]
+    rows = {r.method: r for r in rows_from_csv(out)}
+    assert rows["analytic"].err >= abs(rows["analytic"].outage - rows["mc"].outage) > 0.5
 
 
 @pytest.mark.parametrize("mode, power, row", [
